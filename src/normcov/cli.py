@@ -89,11 +89,9 @@ def _basic_set_from_args(args) -> BasicSet:
 
 def cmd_verify(args) -> CommandResult:
     basic = _basic_set_from_args(args)
-    report = verify_basic_set(basic, threads=args.threads)
-    payload = {
-        "basic_set": basic.to_json(),
-        "report": report.to_json(),
-    }
+    report = verify_basic_set(basic)
+    # report.to_json() reads the coverage matrix, a full sweep per component
+    payload = {"basic_set": basic.to_json(), "report": report.to_json()} if args.format == "json" else {}
     lines = [f"group {basic.group}: {len(basic.components)} components"]
     for d in basic.components:
         lines.append(f"  {d}")
@@ -200,8 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for coverage computation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", parents=[common], help="print all applicable bounds")
@@ -274,7 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, CatalogError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return Status.ERROR.value
-    print(_render(result, args.format))
+    try:
+        print(_render(result, args.format), flush=True)
+    except BrokenPipeError:
+        # The reader left early; send the rest, and the flush at exit, nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code
 
 

@@ -8,12 +8,22 @@ found by branch-and-bound set cover.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .cycle_types import ClassId, GroupId, GroupKind, class_universe
+from .cycle_types import (
+    ClassId,
+    CycleType,
+    GroupId,
+    GroupKind,
+    SplitTag,
+    _check_degree,
+    _is_even,
+    _splits,
+    class_universe,
+)
 from .numtheory import euler_phi, is_prime
 from .subgroups import (
     Catalog,
@@ -24,6 +34,7 @@ from .subgroups import (
     Intransitive,
     NamedGroup,
     SubgroupDescriptor,
+    _coverage_rule,
     class_coverage,
     descriptor_from_json,
     descriptor_sort_key,
@@ -75,6 +86,12 @@ class BasicSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BasicSet":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a basic set must be a JSON object, not {type(obj).__name__}")
+        if not isinstance(obj.get("group"), str):
+            raise ValueError('a basic set needs a "group" string such as "S12"')
+        if not isinstance(obj.get("components"), list):
+            raise ValueError('a basic set needs a "components" list')
         group = GroupId.parse(obj["group"])
         comps = tuple(descriptor_from_json(c, group.degree) for c in obj["components"])
         return cls(
@@ -92,7 +109,12 @@ class CoverReport:
     group: GroupId
     covered: bool
     uncovered: tuple[ClassId, ...]
-    coverage_matrix: dict[SubgroupDescriptor, frozenset[ClassId]]
+    components: tuple[SubgroupDescriptor, ...]
+
+    @cached_property
+    def coverage_matrix(self) -> dict[SubgroupDescriptor, frozenset[ClassId]]:
+        """The classes each component meets, swept with class_coverage on first read."""
+        return {d: class_coverage(d, self.group) for d in self.components}
 
     def to_json(self) -> dict:
         return {
@@ -105,22 +127,63 @@ class CoverReport:
         }
 
 
-def verify_basic_set(b: BasicSet, threads: int = 1) -> CoverReport:
-    """Exact coverage check of the basic set over every conjugacy class."""
-    universe = class_universe(b.group)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            covers = list(pool.map(lambda d: class_coverage(d, b.group), b.components))
-    else:
-        covers = [class_coverage(d, b.group) for d in b.components]
-    matrix = dict(zip(b.components, covers))
-    hit: set[ClassId] = set().union(*covers) if covers else set()
-    uncovered = tuple(c for c in universe if c not in hit)
+def verify_basic_set(b: BasicSet) -> CoverReport:
+    """Exact coverage check of the basic set over every conjugacy class.
+
+    One depth-first walk over the partitions of n, parts descending, carries
+    the subset sums of each prefix as a bitmask. Once a prefix has parts
+    summing to k or n - k, every completion lies in S_k x S_{n-k}, so an
+    intransitive component covers the whole subtree and the walk skips it.
+    The other components are tested only at the leaves that survive.
+    Uncovered classes come out in class_universe order.
+    """
+    g = b.group
+    n = g.degree
+    _check_degree(n)
+    alt = g.kind is GroupKind.ALT
+    prune = 0
+    tests = []
+    class_sets = []
+    for d in b.components:
+        rule = _coverage_rule(d, g)
+        inner = d.inner if isinstance(d, IntersectAlt) else d
+        if isinstance(rule, frozenset):
+            class_sets.append({(c.ctype.parts, c.split_tag) for c in rule})
+        elif isinstance(inner, Intransitive):
+            prune |= (1 << inner.k) | (1 << (n - inner.k))
+        else:
+            tests.append(rule)
+
+    uncovered: list[ClassId] = []
+    whole = (SplitTag.NOT_SPLIT,)
+    halves = (SplitTag.PLUS, SplitTag.MINUS)
+
+    def leaf(parts: tuple[int, ...]) -> None:
+        if alt and not _is_even(parts):
+            return
+        if any(test(parts) for test in tests):
+            return
+        for tag in halves if alt and _splits(parts) else whole:
+            if not any((parts, tag) in classes for classes in class_sets):
+                uncovered.append(ClassId(CycleType(parts), tag))
+
+    def walk(prefix: tuple[int, ...], rest: int, top: int, mask: int) -> None:
+        for part in range(min(rest, top), 0, -1):
+            grown = mask | (mask << part)
+            if grown & prune:
+                continue
+            parts = prefix + (part,)
+            if part == rest:
+                leaf(parts)
+            else:
+                walk(parts, rest - part, part, grown)
+
+    walk((), n, n, 1)
     return CoverReport(
-        group=b.group,
+        group=g,
         covered=not uncovered,
-        uncovered=uncovered,
-        coverage_matrix=matrix,
+        uncovered=tuple(uncovered),
+        components=b.components,
     )
 
 

@@ -174,10 +174,17 @@ def partitions(n: int) -> list[CycleType]:
     return [CycleType(p) for p in _partitions_raw(n)]
 
 
+def _is_even(parts: tuple[int, ...]) -> bool:
+    return sum(1 for p in parts if p % 2 == 0) % 2 == 0
+
+
+def _splits(parts: tuple[int, ...]) -> bool:
+    return all(p % 2 == 1 for p in parts) and len(set(parts)) == len(parts)
+
+
 def parity(t: CycleType) -> Parity:
     """Even iff the number of even parts is even."""
-    evens = sum(1 for p in t.parts if p % 2 == 0)
-    return Parity.EVEN if evens % 2 == 0 else Parity.ODD
+    return Parity.EVEN if _is_even(t.parts) else Parity.ODD
 
 
 def is_split(t: CycleType) -> bool:
@@ -185,7 +192,7 @@ def is_split(t: CycleType) -> bool:
 
     Exactly then the S_n class of the type is a union of two A_n classes.
     """
-    return all(p % 2 == 1 for p in t.parts) and len(set(t.parts)) == len(t.parts)
+    return _splits(t.parts)
 
 
 def u_set(n: int) -> list[CycleType]:

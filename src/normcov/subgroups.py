@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .cycle_types import (
     ClassId,
@@ -24,6 +24,7 @@ from .cycle_types import (
     GroupKind,
     Parity,
     SplitTag,
+    _is_even,
     is_split,
     parity,
     partitions,
@@ -342,38 +343,82 @@ def _wreath_cover(ms: tuple[tuple[int, int], ...], b: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=64)
+def _spectrum_parts(grp: GeneratedGroup) -> frozenset[tuple[int, ...]]:
+    return frozenset(t.parts for t in type_spectrum(grp))
+
+
+def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
+    """Membership of a raw descending cycle type in the S_n-level class d.
+
+    The one membership rule: contains_type, class_coverage and
+    verify_basic_set all test types through it.
+    """
+    if isinstance(d, Intransitive):
+        return lambda parts: _subset_sum(parts, d.k)
+    if isinstance(d, Imprimitive):
+        return lambda parts: _wreath_cover(_counts(parts), d.b)
+    if isinstance(d, FullAlternating):
+        return _is_even
+    if isinstance(d, NamedGroup):
+        return _spectrum_parts(named_group(d.degree, d.name, d.cls)).__contains__
+    raise TypeError(f"unknown descriptor {d!r}")
+
+
 def contains_type(d: SubgroupDescriptor, t: CycleType) -> bool:
     """Does the S_n-level class of subgroups contain a permutation of type t?"""
     if isinstance(d, IntersectAlt):
         raise ValueError("membership is defined at the S_n level; use class_coverage for intersections")
     if d.degree != t.n:
         raise ValueError(f"degree mismatch: descriptor degree {d.degree}, type of {t.n}")
-    if isinstance(d, Intransitive):
-        return _subset_sum(t.parts, d.k)
-    if isinstance(d, Imprimitive):
-        if sum(t.parts) != d.b * d.c:
-            return False
-        return _wreath_cover(_counts(t.parts), d.b)
+    return _member_test(d)(t.parts)
+
+
+def _coverage_rule(
+    d: SubgroupDescriptor, g: GroupId
+) -> Callable[[tuple[int, ...]], bool] | frozenset[ClassId]:
+    """How the component d meets the classes of g; raises ValueError if it cannot be one.
+
+    Mostly a test on raw cycle types. In A_n the test is read on even types
+    only, and a split type it accepts meets both of its A_n classes. A named
+    group of even permutations in A_n instead gives its exact set of classes.
+    """
+    if d.degree != g.degree:
+        raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {g}")
+    if g.kind is GroupKind.SYM:
+        if isinstance(d, IntersectAlt):
+            raise ValueError(f"descriptor {d} is an intersection with A_n; it is no component of {g}")
+        return _member_test(d)
     if isinstance(d, FullAlternating):
-        return parity(t) is Parity.EVEN
-    if isinstance(d, NamedGroup):
-        return t in type_spectrum(named_group(d.degree, d.name, d.cls))
-    raise TypeError(f"unknown descriptor {d!r}")
-
-
-def _alt_cover_by_intersection(inner: SubgroupDescriptor, n: int) -> frozenset[ClassId]:
-    # Intersecting a non-alternating S_n class with A_n keeps every even type,
-    # and a split type always lands in both A_n classes because the normalizer
-    # of the intersection contains odd permutations.
-    if isinstance(inner, NamedGroup):
-        grp = named_group(inner.degree, inner.name, inner.cls)
-        if grp.all_even():
+        raise ValueError("A_n is the whole group, not a component, for alternating degrees")
+    if isinstance(d, IntersectAlt):
+        # Intersecting a non-alternating S_n class with A_n keeps every even type,
+        # and a split type always lands in both A_n classes because the normalizer
+        # of the intersection contains odd permutations.
+        inner = d.inner
+        if isinstance(inner, NamedGroup) and named_group(inner.degree, inner.name, inner.cls).all_even():
             raise ValueError(
                 f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
             )
+        return _member_test(inner)
+    if isinstance(d, NamedGroup):
+        return alt_class_coverage(named_group(d.degree, d.name, d.cls))
+    raise ValueError(
+        f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
+    )
+
+
+@lru_cache(maxsize=4096)
+def class_coverage(d: SubgroupDescriptor, g: GroupId) -> frozenset[ClassId]:
+    """Exact set of conjugacy classes of g met by the subgroup class d."""
+    rule = _coverage_rule(d, g)
+    if isinstance(rule, frozenset):
+        return rule
+    if g.kind is GroupKind.SYM:
+        return frozenset(ClassId(t) for t in partitions(g.degree) if rule(t.parts))
     cover: set[ClassId] = set()
-    for t in partitions(n):
-        if parity(t) is not Parity.EVEN or not contains_type(inner, t):
+    for t in partitions(g.degree):
+        if parity(t) is not Parity.EVEN or not rule(t.parts):
             continue
         if is_split(t):
             cover.add(ClassId(t, SplitTag.PLUS))
@@ -381,24 +426,6 @@ def _alt_cover_by_intersection(inner: SubgroupDescriptor, n: int) -> frozenset[C
         else:
             cover.add(ClassId(t))
     return frozenset(cover)
-
-
-@lru_cache(maxsize=4096)
-def class_coverage(d: SubgroupDescriptor, g: GroupId) -> frozenset[ClassId]:
-    """Exact set of conjugacy classes of g met by the subgroup class d."""
-    if d.degree != g.degree:
-        raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {g}")
-    if g.kind is GroupKind.SYM:
-        return frozenset(ClassId(t) for t in partitions(g.degree) if contains_type(d, t))
-    if isinstance(d, FullAlternating):
-        raise ValueError("A_n is the whole group, not a component, for alternating degrees")
-    if isinstance(d, IntersectAlt):
-        return _alt_cover_by_intersection(d.inner, g.degree)
-    if isinstance(d, NamedGroup):
-        return alt_class_coverage(named_group(d.degree, d.name, d.cls))
-    raise ValueError(
-        f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
-    )
 
 
 # --- catalogs ---------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from normcov.cli import main
 from normcov.coverings import construct_delta, verify_basic_set
 
@@ -85,6 +87,28 @@ def test_verify_file_uncovered(capsys, tmp_path):
 def test_verify_missing_args(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"components": []},
+        {"group": "S7"},
+        {"group": 7, "components": [{"kind": "intransitive", "k": 2}]},
+        {"group": "S7", "components": {"kind": "intransitive", "k": 2}},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": 9}]},
+        {"group": "S7", "components": [{"kind": "sylow"}]},
+        {"group": "S7", "components": ["intransitive:2"]},
+    ],
+)
+def test_verify_malformed_file(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--file", str(path), "--format", fmt)
+        assert code == 2 and out == "" and err.startswith("error: "), (doc, err)
 
 
 def test_verify_roundtrip_matches_direct(capsys, tmp_path):
@@ -204,3 +228,16 @@ def test_cli_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "[9,2]" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader is gone before table3 (about a second of work) writes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "normcov.cli", "table3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err and b"BrokenPipe" not in err

@@ -1,8 +1,11 @@
 """Basic-set verification, the named constructions, and the exact set cover."""
 
+import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normcov.bounds import TABLE3_ALT, general_upper, totient_lower
 from normcov.coverings import (
@@ -13,8 +16,8 @@ from normcov.coverings import (
     mandatory_components,
     verify_basic_set,
 )
-from normcov.cycle_types import ClassId, CycleType, GroupId, class_universe
-from normcov.numtheory import euler_phi
+from normcov.cycle_types import ClassId, CycleType, GroupId, GroupKind, class_universe
+from normcov.numtheory import euler_phi, is_prime
 from normcov.subgroups import (
     Catalog,
     CatalogError,
@@ -24,7 +27,10 @@ from normcov.subgroups import (
     Intransitive,
     NamedGroup,
     class_coverage,
+    data_dir,
     load_catalog,
+    named_group,
+    named_group_names,
 )
 
 from math import ceil
@@ -94,9 +100,139 @@ def test_verify_s12_three_component_failure():
     }
 
 
-def test_verify_threads_agree():
-    b = construct_delta("special_s10")
-    assert verify_basic_set(b, threads=4).covered == verify_basic_set(b).covered
+# --- the pruned walk against the per-component sweep ----------------------------
+
+
+def _sweep_uncovered(rep):
+    """The uncovered classes by the per-component sweep: class_universe minus the matrix."""
+    met = set().union(*rep.coverage_matrix.values())
+    return tuple(c for c in class_universe(rep.group) if c not in met)
+
+
+def _prime_ok(p):
+    # prime degrees need an AGL1(p) generator record
+    return f"AGL1({p})" in named_group_names()
+
+
+def family_sets(max_n):
+    """Every construction family at every degree up to max_n that has its data."""
+    sets = [construct_delta(f) for f in ("special_a9", "special_s10", "special_a11")]
+    kinds = ("sym", "alt")
+    for n in range(4, max_n + 1):
+        if is_prime(n):
+            if n >= 5 and _prime_ok(n):
+                sets.append(construct_delta("sym_prime", p=n))
+                sets.append(construct_delta("upper_alt_odd", n=n))
+            continue
+        for big in (False, True):
+            sets.append(construct_delta("upper_sym", n=n, big_blocks=big))
+            if n % 2 == 0:
+                sets.append(construct_delta("upper_alt_even", n=n, big_blocks=big))
+        if n % 2:
+            sets.append(construct_delta("upper_alt_odd", n=n))
+    primes = [p for p in range(2, max_n + 1) if is_prime(p)]
+    for p in primes:
+        for alpha in range(2, max_n.bit_length()):
+            if p**alpha <= max_n:
+                sets += [construct_delta("prime_power", p=p, alpha=alpha, group=k) for k in kinds]
+        for q in primes:
+            if p < q and p * q <= max_n:
+                sets += [construct_delta("two_primes", p=p, q=q, group=k) for k in kinds]
+            for alpha in range(1, max_n.bit_length()):
+                for beta in range(1, max_n.bit_length()):
+                    if p < q and alpha + beta >= 3 and p**alpha * q**beta <= max_n:
+                        sets += [
+                            construct_delta("two_prime_powers", p=p, q=q, alpha=alpha, beta=beta, group=k)
+                            for k in kinds
+                        ]
+    return sets
+
+
+def check_walk_agrees(max_n, max_removed_n):
+    """Walk and sweep give the same uncovered tuple, order included.
+
+    Checks every family set up to max_n, and up to max_removed_n every set
+    with one component taken out. Returns how many sets were compared.
+    """
+    compared = 0
+    for b in family_sets(max_n):
+        rep = verify_basic_set(b)
+        assert rep.uncovered == _sweep_uncovered(rep) == (), b.provenance
+        compared += 1
+        if b.group.degree > max_removed_n:
+            continue
+        for i in range(len(b.components)):
+            rest = b.components[:i] + b.components[i + 1 :]
+            if rest:
+                rep = verify_basic_set(BasicSet(b.group, rest))
+                assert rep.uncovered == _sweep_uncovered(rep), (b.provenance, b.components[i])
+                assert rep.covered == (not rep.uncovered)
+                compared += 1
+    return compared
+
+
+def test_walk_agrees_with_sweep():
+    assert check_walk_agrees(28, 20) > 300
+
+
+def _component_pool(g):
+    n = g.degree
+    sym_level = [Intransitive(n, k) for k in range(1, n // 2 + 1)]
+    sym_level += [Imprimitive(n, b, n // b) for b in range(2, n // 2 + 1) if n % b == 0]
+    records = json.loads((data_dir() / "generators.json").read_text())
+    named = [
+        NamedGroup(n, r["name"], c)
+        for r in records
+        if r["degree"] == n
+        for c in range(1, r.get("classes", 1) + 1)
+    ]
+    if g.kind is GroupKind.SYM:
+        return sym_level + named + [FullAlternating(n)]
+    pool = [ia(d) for d in sym_level]
+    for d in named:
+        pool.append(d if named_group(n, d.name, d.cls).all_even() else ia(d))
+    return pool
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_walk_agrees_on_random_subsets(data):
+    n = data.draw(st.integers(4, 24), label="n")
+    kind = data.draw(st.sampled_from([GroupKind.SYM, GroupKind.ALT]), label="kind")
+    g = GroupId(kind, n)
+    pool = _component_pool(g)
+    comps = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True), label="components")
+    rep = verify_basic_set(BasicSet(g, tuple(comps)))
+    assert rep.uncovered == _sweep_uncovered(rep)
+    assert rep.covered == (not rep.uncovered)
+
+
+@pytest.mark.parametrize(
+    "group, bad",
+    [
+        (GroupId.alt(8), Intransitive(8, 3)),
+        (GroupId.alt(8), Imprimitive(8, 2, 4)),
+        (GroupId.alt(7), NamedGroup(7, "AGL1(7)")),
+        (GroupId.sym(7), ia(Intransitive(7, 2))),
+        (GroupId.sym(8), ia(Imprimitive(8, 4, 2))),
+        (GroupId.alt(9), ia(NamedGroup(9, "PGammaL2(8)"))),
+        (GroupId.sym(7), NamedGroup(7, "AGL1(8)")),
+    ],
+)
+def test_walk_rejects_what_the_sweep_rejects(group, bad):
+    with pytest.raises(ValueError):
+        class_coverage(bad, group)
+    n = group.degree
+    good = ia(Intransitive(n, 1)) if group.kind is GroupKind.ALT else Intransitive(n, 1)
+    # raised by verify_basic_set itself, not later when the matrix is read
+    with pytest.raises(ValueError):
+        verify_basic_set(BasicSet(group, (good, bad)))
+
+
+def test_verify_degree_60():
+    for fam in ("upper_sym", "upper_alt_even"):
+        rep = verify_basic_set(construct_delta(fam, n=60))
+        assert rep.covered and rep.uncovered == (), fam
 
 
 # --- constructions -----------------------------------------------------------------
