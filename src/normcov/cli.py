@@ -21,6 +21,7 @@ from .numtheory import Interval
 from .subgroups import (
     CatalogError,
     IntersectAlt,
+    _intersect_alt_test,
     catalog_to_json,
     contains_type,
     load_catalog,
@@ -155,7 +156,7 @@ def cmd_membership(n: int, descriptor: str, type_text: str) -> CommandResult:
     if t.n != n:
         raise ValueError(f"type {t} is a partition of {t.n}, not {n}")
     if isinstance(d, IntersectAlt):
-        member = parity(t) is Parity.EVEN and contains_type(d.inner, t)
+        member = parity(t) is Parity.EVEN and _intersect_alt_test(d)(t.parts)
         rule = "even type contained in the intersected class"
     else:
         member = contains_type(d, t)

@@ -3,15 +3,13 @@
 A basic set is a list of pairwise non-conjugate proper subgroup classes whose
 conjugates, together, meet every conjugacy class of the group. Verification is
 exact over the class universe; the minimum size over a complete catalog is
-found by branch-and-bound set cover.
+found by one lexicographic search over the catalog's coverage rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import comb
 
 from .cycle_types import (
     ClassId,
@@ -395,17 +393,54 @@ def construct_delta(family: str, **params) -> BasicSet:
 
 
 def _coverage_rows(g: GroupId, catalog: Catalog):
+    """The catalog in descriptor order, each row the bitmask of classes it meets.
+
+    Raises CatalogError when the rows together miss a class, so every search
+    over them finds a cover.
+    """
+    if catalog.group != g:
+        raise ValueError(f"catalog is for {catalog.group}, not {g}")
     universe = class_universe(g)
     index = {cid: i for i, cid in enumerate(universe)}
     descs = sorted(catalog.descriptors, key=descriptor_sort_key)
     rows = []
+    union = 0
     for d in descs:
         mask = 0
         for cid in class_coverage(d, g):
             mask |= 1 << index[cid]
         rows.append(mask)
+        union |= mask
     full = (1 << len(universe)) - 1
+    if union != full:
+        missing = [str(universe[i]) for i in range(len(universe)) if not (union >> i) & 1]
+        raise CatalogError(f"catalog cannot cover classes {', '.join(missing)}; catalog data error")
     return universe, descs, rows, full
+
+
+def _covers(rows: list[int], full: int, size: int):
+    """Every choice of at most size rows whose union is full, in lexicographic index order.
+
+    A choice stops growing once it covers. A branch is cut once the rows it
+    may still add cannot reach full: reach[j] is the union of rows j and later.
+    """
+    reach = [0] * (len(rows) + 1)
+    for j in range(len(rows) - 1, -1, -1):
+        reach[j] = rows[j] | reach[j + 1]
+
+    def walk(start: int, covered: int, chosen: tuple[int, ...]):
+        if covered == full:
+            yield chosen
+        elif len(chosen) < size and covered | reach[start] == full:
+            for j in range(start, len(rows)):
+                yield from walk(j + 1, covered | rows[j], chosen + (j,))
+
+    return walk(0, 0, ())
+
+
+def _first_cover(rows: list[int], full: int) -> tuple[int, ...]:
+    """The lexicographically first cover of the smallest size."""
+    return next(cover for size in range(1, len(rows) + 1) for cover in _covers(rows, full, size))
 
 
 def mandatory_components(g: GroupId, c: Catalog) -> tuple[SubgroupDescriptor, ...]:
@@ -414,20 +449,15 @@ def mandatory_components(g: GroupId, c: Catalog) -> tuple[SubgroupDescriptor, ..
     Every basic set over the catalog must contain them. Requires a complete
     catalog; on an incomplete one the notion is meaningless.
     """
-    if c.group != g:
-        raise ValueError(f"catalog is for {c.group}, not {g}")
     if not c.complete:
         raise CatalogError("mandatory components need a complete catalog")
     universe, descs, rows, _ = _coverage_rows(g, c)
-    forced: list[SubgroupDescriptor] = []
+    forced = set()
     for i in range(len(universe)):
-        bit = 1 << i
-        coverers = [j for j, row in enumerate(rows) if row & bit]
-        if not coverers:
-            raise CatalogError(f"class {universe[i]} is covered by no catalog member")
-        if len(coverers) == 1 and descs[coverers[0]] not in forced:
-            forced.append(descs[coverers[0]])
-    return tuple(sorted(forced, key=descriptor_sort_key))
+        coverers = [j for j, row in enumerate(rows) if (row >> i) & 1]
+        if len(coverers) == 1:
+            forced.add(coverers[0])
+    return tuple(descs[j] for j in sorted(forced))
 
 
 @dataclass(frozen=True)
@@ -439,54 +469,6 @@ class GammaResult:
     exact: bool
 
 
-def _greedy_size(rows: list[int], start_mask: int, full: int, start_count: int) -> int:
-    covered = start_mask
-    count = start_count
-    while covered != full:
-        best = max(rows, key=lambda r: bin(r & ~covered).count("1"))
-        gain = bin(best & ~covered).count("1")
-        if gain == 0:
-            raise CatalogError("catalog cannot cover the class universe")
-        covered |= best
-        count += 1
-    return count
-
-
-def _min_cover_size(rows: list[int], full: int, seed_mask: int, seed_count: int) -> int:
-    """Branch and bound: branch on the scarcest uncovered class."""
-    n_rows = len(rows)
-    best = _greedy_size(rows, seed_mask, full, seed_count)
-    max_gain = max((bin(r).count("1") for r in rows), default=0)
-
-    def walk(covered: int, chosen: int) -> None:
-        nonlocal best
-        if covered == full:
-            best = min(best, chosen)
-            return
-        remaining = bin(full & ~covered).count("1")
-        if chosen + (remaining + max_gain - 1) // max_gain >= best:
-            return
-        # scarcest uncovered class
-        scarce_bit = 0
-        scarce = None
-        probe = full & ~covered
-        while probe:
-            bit = probe & -probe
-            probe &= probe - 1
-            cands = [j for j in range(n_rows) if rows[j] & bit]
-            if scarce is None or len(cands) < len(scarce):
-                scarce, scarce_bit = cands, bit
-                if len(cands) <= 1:
-                    break
-        if not scarce:
-            return
-        for j in scarce:
-            walk(covered | rows[j], chosen + 1)
-
-    walk(seed_mask, seed_count)
-    return best
-
-
 def exact_gamma(g: GroupId, c: Catalog) -> GammaResult:
     """Minimum number of catalog classes whose coverage is the whole universe.
 
@@ -494,77 +476,18 @@ def exact_gamma(g: GroupId, c: Catalog) -> GammaResult:
     incomplete catalog it is only an upper bound and the result says so. Ties
     among optimal witnesses are broken by the lexicographic descriptor order.
     """
-    if c.group != g:
-        raise ValueError(f"catalog is for {c.group}, not {g}")
-    universe, descs, rows, full = _coverage_rows(g, c)
-    union = 0
-    for row in rows:
-        union |= row
-    if union != full:
-        missing = [str(universe[i]) for i in range(len(universe)) if not (union >> i) & 1]
-        raise CatalogError(f"catalog cannot cover classes {', '.join(missing)}; catalog data error")
-
-    # seed with the forced components
-    seed_mask = 0
-    seed = set()
-    for i in range(len(universe)):
-        bit = 1 << i
-        coverers = [j for j, row in enumerate(rows) if row & bit]
-        if len(coverers) == 1:
-            seed.add(coverers[0])
-    for j in seed:
-        seed_mask |= rows[j]
-    gamma = _min_cover_size(rows, full, seed_mask, len(seed))
-
-    witness = None
-    if comb(len(rows), gamma) <= 200_000:
-        for combo in combinations(range(len(rows)), gamma):
-            m = 0
-            for j in combo:
-                m |= rows[j]
-            if m == full:
-                witness = combo
-                break
-    if witness is None:
-        # very large catalogs: rerun the search recording one optimal solution
-        witness = _first_cover_of_size(rows, full, gamma)
+    _, descs, rows, full = _coverage_rows(g, c)
+    witness = _first_cover(rows, full)
     basic = BasicSet(
         group=g,
         components=tuple(descs[j] for j in witness),
         provenance="exact set cover minimum",
     )
-    return GammaResult(gamma=gamma, witness=basic, exact=c.complete)
-
-
-def _first_cover_of_size(rows: list[int], full: int, size: int):
-    n_rows = len(rows)
-
-    def walk(start: int, covered: int, chosen: tuple[int, ...]):
-        if covered == full:
-            return chosen
-        if len(chosen) == size:
-            return None
-        for j in range(start, n_rows):
-            got = walk(j + 1, covered | rows[j], chosen + (j,))
-            if got:
-                return got
-        return None
-
-    found = walk(0, 0, ())
-    if found is None:
-        raise CatalogError("internal set cover inconsistency")
-    return found
+    return GammaResult(gamma=len(witness), witness=basic, exact=c.complete)
 
 
 def all_minimum_covers(g: GroupId, c: Catalog) -> list[tuple[SubgroupDescriptor, ...]]:
     """Every optimal covering subset, in lexicographic descriptor order."""
-    result = exact_gamma(g, c)
-    universe, descs, rows, full = _coverage_rows(g, c)
-    out = []
-    for combo in combinations(range(len(rows)), result.gamma):
-        m = 0
-        for j in combo:
-            m |= rows[j]
-        if m == full:
-            out.append(tuple(descs[j] for j in combo))
-    return out
+    _, descs, rows, full = _coverage_rows(g, c)
+    gamma = len(_first_cover(rows, full))
+    return [tuple(descs[j] for j in cover) for cover in _covers(rows, full, gamma)]

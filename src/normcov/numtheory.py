@@ -10,9 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from math import ceil, floor, gcd
+from math import ceil, floor
 
 __all__ = [
     "Interval",
@@ -30,14 +29,6 @@ __all__ = [
     "squarefree_divisors",
     "totient_report",
 ]
-
-# Intervals holding at most this many integers are counted by direct scan;
-# longer ones go through Moebius inclusion-exclusion.
-SCAN_LIMIT = 10**6
-
-# Largest modulus for which a coprimality table is cached for scanning.
-_TABLE_LIMIT = 3 * 10**6
-
 
 def _check_positive(n: int) -> None:
     if not isinstance(n, int) or n < 1:
@@ -251,36 +242,10 @@ class Interval:
         return ("(" if self.lo_open else "[") + f"{fmt(self.lo)},{fmt(self.hi)}" + (")" if self.hi_open else "]")
 
 
-@lru_cache(maxsize=64)
-def _coprime_table(n: int) -> bytes:
-    # table[i] == 1 iff gcd(i, n) == 1, for 0 <= i <= n
-    return bytes(1 if gcd(i, n) == 1 else 0 for i in range(n + 1))
-
-
-def _phi_interval_scan(iv: Interval, n: int) -> int:
-    a = max(iv.first_integer(), 1)
-    b = iv.last_integer()
-    if b < a:
-        return 0
-    if n <= _TABLE_LIMIT:
-        return sum(_coprime_table(n)[a : b + 1])
-    return sum(1 for i in range(a, b + 1) if gcd(i, n) == 1)
-
-
-def _phi_interval_moebius(iv: Interval, n: int) -> int:
-    a = max(iv.first_integer(), 1)
-    b = iv.last_integer()
-    if b < a:
-        return 0
-    total = 0
-    for d in squarefree_divisors(n):
-        total += moebius(d) * (b // d - (a - 1) // d)
-    return total
-
-
 def phi_interval(iv: Interval, n: int) -> int:
     """Exact count of integers i >= 1 in the interval with gcd(i, n) == 1.
 
+    Counted by Moebius inclusion-exclusion over the squarefree divisors of n.
     The count always differs from (phi(n)/n) * |interval| by at most
     2**(nu(n)+1); tests exercise that error bound.
     """
@@ -289,6 +254,10 @@ def phi_interval(iv: Interval, n: int) -> int:
         raise ValueError(f"interval {iv} not contained in [0, {n}]")
     a = max(iv.first_integer(), 1)
     b = iv.last_integer()
-    if b - a + 1 <= SCAN_LIMIT:
-        return _phi_interval_scan(iv, n)
-    return _phi_interval_moebius(iv, n)
+    if b < a:
+        return 0
+    # (moebius(d), d) for every squarefree divisor d of n
+    signed = [(1, 1)]
+    for p, _ in factorize(n):
+        signed += [(-mu, d * p) for mu, d in signed]
+    return sum(mu * (b // d - (a - 1) // d) for mu, d in signed)

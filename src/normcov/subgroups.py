@@ -374,6 +374,20 @@ def contains_type(d: SubgroupDescriptor, t: CycleType) -> bool:
     return _member_test(d)(t.parts)
 
 
+def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
+    """Membership of an even raw cycle type in d; ValueError if d is no proper intersection.
+
+    Intersecting a non-alternating S_n class with A_n keeps every even type.
+    The membership command and _coverage_rule both decide intersections here.
+    """
+    inner = d.inner
+    if isinstance(inner, NamedGroup) and named_group(inner.degree, inner.name, inner.cls).all_even():
+        raise ValueError(
+            f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
+        )
+    return _member_test(inner)
+
+
 def _coverage_rule(
     d: SubgroupDescriptor, g: GroupId
 ) -> Callable[[tuple[int, ...]], bool] | frozenset[ClassId]:
@@ -392,15 +406,9 @@ def _coverage_rule(
     if isinstance(d, FullAlternating):
         raise ValueError("A_n is the whole group, not a component, for alternating degrees")
     if isinstance(d, IntersectAlt):
-        # Intersecting a non-alternating S_n class with A_n keeps every even type,
-        # and a split type always lands in both A_n classes because the normalizer
+        # A split type always lands in both A_n classes because the normalizer
         # of the intersection contains odd permutations.
-        inner = d.inner
-        if isinstance(inner, NamedGroup) and named_group(inner.degree, inner.name, inner.cls).all_even():
-            raise ValueError(
-                f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
-            )
-        return _member_test(inner)
+        return _intersect_alt_test(d)
     if isinstance(d, NamedGroup):
         return alt_class_coverage(named_group(d.degree, d.name, d.cls))
     raise ValueError(

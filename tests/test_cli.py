@@ -184,6 +184,17 @@ def test_membership_examples(capsys):
     assert code == 0 and payload["member"] is True
 
 
+def test_membership_alt_rejects_all_even_named_groups(capsys):
+    # the same rule as verify: these groups already lie inside A_n
+    for n, d, t in (("11", "alt:named:M11", "[11]"), ("12", "alt:named:M12", "[11,1]"), ("7", "alt:named:PSL2(7)", "[7]")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "membership", n, d, t, "--format", fmt)
+            assert code == 2 and out == "" and "alternating group" in err, (d, fmt)
+    code, out, _ = run(capsys, "membership", "8", "alt:intransitive:3", "[3,3,1,1]")
+    assert code == 0
+    assert out == "[3,3,1,1] in alt:intransitive:3: yes (even type contained in the intersected class)\n"
+
+
 def test_membership_errors(capsys):
     code, out, _ = run(capsys, "membership", "12", "imprimitive:3,4", "[1,2]")
     assert code == 2 and out == ""

@@ -28,9 +28,9 @@ from normcov.subgroups import (
     NamedGroup,
     class_coverage,
     data_dir,
+    descriptor_sort_key,
     load_catalog,
     named_group,
-    named_group_names,
 )
 
 from math import ceil
@@ -109,18 +109,13 @@ def _sweep_uncovered(rep):
     return tuple(c for c in class_universe(rep.group) if c not in met)
 
 
-def _prime_ok(p):
-    # prime degrees need an AGL1(p) generator record
-    return f"AGL1({p})" in named_group_names()
-
-
 def family_sets(max_n):
-    """Every construction family at every degree up to max_n that has its data."""
+    """Every construction family at every degree up to max_n."""
     sets = [construct_delta(f) for f in ("special_a9", "special_s10", "special_a11")]
     kinds = ("sym", "alt")
     for n in range(4, max_n + 1):
         if is_prime(n):
-            if n >= 5 and _prime_ok(n):
+            if n >= 5:
                 sets.append(construct_delta("sym_prime", p=n))
                 sets.append(construct_delta("upper_alt_odd", n=n))
             continue
@@ -233,6 +228,11 @@ def test_verify_degree_60():
     for fam in ("upper_sym", "upper_alt_even"):
         rep = verify_basic_set(construct_delta(fam, n=60))
         assert rep.covered and rep.uncovered == (), fam
+    for p in range(31, 60):
+        if is_prime(p):
+            for b in (construct_delta("sym_prime", p=p), construct_delta("upper_alt_odd", n=p)):
+                rep = verify_basic_set(b)
+                assert rep.covered and rep.uncovered == (), b.provenance
 
 
 # --- constructions -----------------------------------------------------------------
@@ -452,9 +452,62 @@ def test_a4_all_intransitive_minimum():
 
 def test_uncoverable_catalog_rejected():
     g = GroupId.sym(5)
-    cat = Catalog(g, (Intransitive(5, 1), Intransitive(5, 2)), complete=False)
+    comps = (Intransitive(5, 1), Intransitive(5, 2))  # nothing covers [5]
+    for complete in (False, True):
+        cat = Catalog(g, comps, complete=complete)
+        with pytest.raises(CatalogError):
+            exact_gamma(g, cat)
+        with pytest.raises(CatalogError):
+            all_minimum_covers(g, cat)
     with pytest.raises(CatalogError):
-        exact_gamma(g, cat)  # nothing covers [5]
+        mandatory_components(g, Catalog(g, comps, complete=True))
+
+
+def _scan_minimum_covers(g, descriptors):
+    """Every minimum cover by a plain combinations scan over bitmask rows, descriptor order."""
+    index = {c: i for i, c in enumerate(class_universe(g))}
+    descs = sorted(descriptors, key=descriptor_sort_key)
+    rows = [sum(1 << index[c] for c in class_coverage(d, g)) for d in descs]
+    full = (1 << len(index)) - 1
+    for size in range(1, len(descs) + 1):
+        found = []
+        for combo in combinations(range(len(descs)), size):
+            mask = 0
+            for j in combo:
+                mask |= rows[j]
+            if mask == full:
+                found.append(tuple(descs[j] for j in combo))
+        if found:
+            return found
+    raise AssertionError("catalog cannot cover")
+
+
+def _check_search(g, cat):
+    want = _scan_minimum_covers(g, cat.descriptors)
+    res = exact_gamma(g, cat)
+    assert res.gamma == len(want[0]), g
+    # the witness is the lexicographically first minimum cover
+    assert res.witness.components == want[0], g
+    assert all_minimum_covers(g, cat) == want, g
+    return want
+
+
+def test_search_matches_scan_on_builtin_catalogs():
+    groups = [GroupId.sym(n) for n in range(3, 13)] + [GroupId.alt(n) for n in range(4, 13)]
+    for g in groups:
+        cat = load_catalog(g)
+        covers = _check_search(g, cat)
+        forced = set(mandatory_components(g, cat))
+        assert all(forced <= set(cover) for cover in covers), g
+
+
+def test_search_matches_scan_on_larger_user_catalog():
+    n = 24
+    g = GroupId.sym(n)
+    comps = [Intransitive(n, k) for k in range(1, n // 2 + 1)]
+    comps += [Imprimitive(n, b, n // b) for b in range(2, n // 2 + 1) if n % b == 0]
+    covers = _check_search(g, Catalog(g, tuple(comps), complete=False))
+    assert len(covers[0]) == 6
 
 
 def test_incomplete_catalog_flagged():

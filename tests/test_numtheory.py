@@ -8,8 +8,6 @@ import pytest
 
 from normcov.numtheory import (
     Interval,
-    _phi_interval_moebius,
-    _phi_interval_scan,
     a_of_n,
     divisors,
     euler_phi,
@@ -166,10 +164,7 @@ def test_phi_interval_paths_agree():
         for lo2 in range(0, 2 * n, 3):
             for hi2 in range(lo2, 2 * n + 1, 5):
                 iv = Interval(Fraction(lo2, 2), Fraction(hi2, 2), lo_open=bool(hi2 % 2), hi_open=bool(lo2 % 3))
-                got_scan = _phi_interval_scan(iv, n)
-                got_moeb = _phi_interval_moebius(iv, n)
-                want = brute_phi_interval(iv, n)
-                assert got_scan == got_moeb == want, (n, str(iv))
+                assert phi_interval(iv, n) == brute_phi_interval(iv, n), (n, str(iv))
 
 
 def test_phi_interval_error_bound_sampled():

@@ -5,7 +5,8 @@ import shutil
 
 import pytest
 
-from normcov.cycle_types import ClassId, CycleType, GroupId, Parity, is_split, partitions
+from normcov.cycle_types import MAX_PARTITION_DEGREE, ClassId, CycleType, GroupId, Parity, is_split, partitions
+from normcov.numtheory import primes_up_to
 from normcov.permgroup import (
     alt_class_coverage,
     closure,
@@ -231,6 +232,13 @@ def test_all_generator_records_materialize():
     for entry in records:
         grp = named_group(entry["degree"], entry["name"])
         assert grp.order == entry["expected_order"], entry["name"]
+
+
+def test_affine_group_at_every_prime_degree():
+    # sym_prime and upper_alt_odd need AGL_1(p) at every prime degree they reach
+    for p in primes_up_to(MAX_PARTITION_DEGREE):
+        if p >= 5:
+            assert named_group(p, f"AGL1({p})").order == p * (p - 1), p
 
 
 def test_named_group_errors():

@@ -14,6 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from normcov.cycle_types import MAX_PARTITION_DEGREE  # noqa: E402
+from normcov.numtheory import primes_up_to  # noqa: E402
 from normcov.permgroup import Perm, closure, cycles_of  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "normcov" / "data" / "generators.json"
@@ -252,8 +254,10 @@ def main() -> None:
         )
         print(f"{name:14s} degree {degree:3d} order {grp.order}")
 
-    for p in (5, 7, 11, 13, 17, 19, 23, 29):
-        add(f"AGL1({p})", p, p * (p - 1), agl1(p))
+    # every prime degree the sym_prime and upper_alt_odd constructions can reach
+    for p in primes_up_to(MAX_PARTITION_DEGREE):
+        if p >= 5:
+            add(f"AGL1({p})", p, p * (p - 1), agl1(p))
     for p in (5, 7, 11):
         add(f"PGL2({p})", p + 1, (p + 1) * p * (p - 1), pgl2(p))
     add("PGammaL2(4)", 5, 120, pgammal2(f4))
