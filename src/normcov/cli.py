@@ -91,7 +91,7 @@ def _basic_set_from_args(args) -> BasicSet:
 def cmd_verify(args) -> CommandResult:
     basic = _basic_set_from_args(args)
     report = verify_basic_set(basic)
-    # report.to_json() reads the coverage matrix, a full sweep per component
+    # report.to_json() reads the coverage matrix, one unpruned walk over every class
     payload = {"basic_set": basic.to_json(), "report": report.to_json()} if args.format == "json" else {}
     lines = [f"group {basic.group}: {len(basic.components)} components"]
     for d in basic.components:

@@ -9,19 +9,11 @@ found by one lexicographic search over the catalog's coverage rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache, reduce
+from inspect import signature
+from operator import or_
 
-from .cycle_types import (
-    ClassId,
-    CycleType,
-    GroupId,
-    GroupKind,
-    SplitTag,
-    _check_degree,
-    _is_even,
-    _splits,
-    class_universe,
-)
+from .cycle_types import ClassId, CycleType, GroupId, GroupKind
 from .numtheory import euler_phi, is_prime
 from .subgroups import (
     Catalog,
@@ -32,8 +24,7 @@ from .subgroups import (
     Intransitive,
     NamedGroup,
     SubgroupDescriptor,
-    _coverage_rule,
-    class_coverage,
+    _signatures,
     descriptor_from_json,
     descriptor_sort_key,
     descriptor_to_json,
@@ -109,19 +100,28 @@ class CoverReport:
     uncovered: tuple[ClassId, ...]
     components: tuple[SubgroupDescriptor, ...]
 
-    @cached_property
+    @property
     def coverage_matrix(self) -> dict[SubgroupDescriptor, frozenset[ClassId]]:
-        """The classes each component meets, swept with class_coverage on first read."""
-        return {d: class_coverage(d, self.group) for d in self.components}
+        """The classes each component meets, from one signature walk on each read.
+
+        The report does not keep the matrix, so it stays as small as its
+        uncovered list; to_json reads it once.
+        """
+        met: list[list[ClassId]] = [[] for _ in self.components]
+        for parts, tag, sig in _signatures(self.group, self.components):
+            cid = ClassId(CycleType(parts), tag)
+            for i, classes in enumerate(met):
+                if sig >> i & 1:
+                    classes.append(cid)
+        return {d: frozenset(classes) for d, classes in zip(self.components, met)}
 
     def to_json(self) -> dict:
+        name = lru_cache(maxsize=None)(str)  # a class met by several components is named once
         return {
             "group": self.group.name,
             "covered": self.covered,
             "uncovered": [str(c) for c in self.uncovered],
-            "coverage": {
-                str(d): sorted(str(c) for c in cov) for d, cov in self.coverage_matrix.items()
-            },
+            "coverage": {str(d): sorted(map(name, cov)) for d, cov in self.coverage_matrix.items()},
         }
 
 
@@ -135,54 +135,12 @@ def verify_basic_set(b: BasicSet) -> CoverReport:
     The other components are tested only at the leaves that survive.
     Uncovered classes come out in class_universe order.
     """
-    g = b.group
-    n = g.degree
-    _check_degree(n)
-    alt = g.kind is GroupKind.ALT
-    prune = 0
-    tests = []
-    class_sets = []
-    for d in b.components:
-        rule = _coverage_rule(d, g)
-        inner = d.inner if isinstance(d, IntersectAlt) else d
-        if isinstance(rule, frozenset):
-            class_sets.append({(c.ctype.parts, c.split_tag) for c in rule})
-        elif isinstance(inner, Intransitive):
-            prune |= (1 << inner.k) | (1 << (n - inner.k))
-        else:
-            tests.append(rule)
-
-    uncovered: list[ClassId] = []
-    whole = (SplitTag.NOT_SPLIT,)
-    halves = (SplitTag.PLUS, SplitTag.MINUS)
-
-    def leaf(parts: tuple[int, ...]) -> None:
-        if alt and not _is_even(parts):
-            return
-        if any(test(parts) for test in tests):
-            return
-        for tag in halves if alt and _splits(parts) else whole:
-            if not any((parts, tag) in classes for classes in class_sets):
-                uncovered.append(ClassId(CycleType(parts), tag))
-
-    def walk(prefix: tuple[int, ...], rest: int, top: int, mask: int) -> None:
-        for part in range(min(rest, top), 0, -1):
-            grown = mask | (mask << part)
-            if grown & prune:
-                continue
-            parts = prefix + (part,)
-            if part == rest:
-                leaf(parts)
-            else:
-                walk(parts, rest - part, part, grown)
-
-    walk((), n, n, 1)
-    return CoverReport(
-        group=g,
-        covered=not uncovered,
-        uncovered=tuple(uncovered),
-        components=b.components,
+    uncovered = tuple(
+        ClassId(CycleType(parts), tag)
+        for parts, tag, sig in _signatures(b.group, b.components, prune=True)
+        if not sig
     )
+    return CoverReport(group=b.group, covered=not uncovered, uncovered=uncovered, components=b.components)
 
 
 # --- named constructions ------------------------------------------------
@@ -281,7 +239,6 @@ def _delta_prime_power(p: int, alpha: int, group: str | GroupKind = "sym") -> Ba
     _require(is_prime(p), f"p must be prime, got {p}")
     _require(alpha >= 2, f"alpha must be >= 2, got {alpha}")
     n = p**alpha
-    _require(n <= 60, f"degree {n} outside enumeration bound")
     comps: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p)]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p,))]
     kind = _kind(group)
@@ -299,7 +256,6 @@ def _delta_prime_power(p: int, alpha: int, group: str | GroupKind = "sym") -> Ba
 def _delta_two_primes(p: int, q: int, group: str | GroupKind = "sym", big_blocks: bool = False) -> BasicSet:
     _require(is_prime(p) and is_prime(q) and p < q, f"need primes p < q, got p={p}, q={q}")
     n = p * q
-    _require(n <= 60, f"degree {n} outside enumeration bound")
     wreath = Imprimitive(n, q, p) if big_blocks else Imprimitive(n, p, q)
     comps: list[SubgroupDescriptor] = [wreath]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p, q))]
@@ -321,7 +277,6 @@ def _delta_two_prime_powers(
     _require(alpha >= 1 and beta >= 1, "exponents must be positive")
     _require(alpha + beta >= 3, f"need alpha + beta >= 3, got {alpha + beta}")
     n = p**alpha * q**beta
-    _require(n <= 60, f"degree {n} outside enumeration bound")
     comps: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p), Imprimitive(n, q, n // q)]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p, q))]
     kind = _kind(group)
@@ -373,6 +328,9 @@ _FAMILIES = {
 }
 
 
+_SIGNATURES = {family: signature(builder) for family, builder in _FAMILIES.items()}
+
+
 def delta_families() -> list[str]:
     return sorted(_FAMILIES)
 
@@ -380,12 +338,16 @@ def delta_families() -> list[str]:
 def construct_delta(family: str, **params) -> BasicSet:
     """Build one of the named basic-set constructions.
 
-    Hypotheses are validated strictly; a violated condition raises ValueError
-    naming the condition.
+    Hypotheses are validated strictly; a violated condition, or a parameter
+    the family does not take or needs, raises ValueError naming it.
     """
     builder = _FAMILIES.get(family)
     if builder is None:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(delta_families())}")
+    try:
+        _SIGNATURES[family].bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"family {family}: {exc}") from None
     return builder(**params)
 
 
@@ -395,27 +357,24 @@ def construct_delta(family: str, **params) -> BasicSet:
 def _coverage_rows(g: GroupId, catalog: Catalog):
     """The catalog in descriptor order, each row the bitmask of classes it meets.
 
-    Raises CatalogError when the rows together miss a class, so every search
-    over them finds a cover.
+    Bit i of a row stands for the i-th class in class_universe order. Raises
+    CatalogError when the rows together miss a class, so every search over
+    them finds a cover.
     """
     if catalog.group != g:
         raise ValueError(f"catalog is for {catalog.group}, not {g}")
-    universe = class_universe(g)
-    index = {cid: i for i, cid in enumerate(universe)}
     descs = sorted(catalog.descriptors, key=descriptor_sort_key)
-    rows = []
-    union = 0
-    for d in descs:
-        mask = 0
-        for cid in class_coverage(d, g):
-            mask |= 1 << index[cid]
-        rows.append(mask)
-        union |= mask
-    full = (1 << len(universe)) - 1
-    if union != full:
-        missing = [str(universe[i]) for i in range(len(universe)) if not (union >> i) & 1]
+    rows = [0] * len(descs)
+    missing = []
+    for i, (parts, tag, sig) in enumerate(_signatures(g, descs)):
+        if not sig:
+            missing.append(str(ClassId(CycleType(parts), tag)))
+        for j in range(len(descs)):
+            if sig >> j & 1:
+                rows[j] |= 1 << i
+    if missing:
         raise CatalogError(f"catalog cannot cover classes {', '.join(missing)}; catalog data error")
-    return universe, descs, rows, full
+    return descs, rows, reduce(or_, rows)
 
 
 def _covers(rows: list[int], full: int, size: int):
@@ -451,9 +410,9 @@ def mandatory_components(g: GroupId, c: Catalog) -> tuple[SubgroupDescriptor, ..
     """
     if not c.complete:
         raise CatalogError("mandatory components need a complete catalog")
-    universe, descs, rows, _ = _coverage_rows(g, c)
+    descs, rows, full = _coverage_rows(g, c)
     forced = set()
-    for i in range(len(universe)):
+    for i in range(full.bit_length()):
         coverers = [j for j, row in enumerate(rows) if (row >> i) & 1]
         if len(coverers) == 1:
             forced.add(coverers[0])
@@ -476,7 +435,7 @@ def exact_gamma(g: GroupId, c: Catalog) -> GammaResult:
     incomplete catalog it is only an upper bound and the result says so. Ties
     among optimal witnesses are broken by the lexicographic descriptor order.
     """
-    _, descs, rows, full = _coverage_rows(g, c)
+    descs, rows, full = _coverage_rows(g, c)
     witness = _first_cover(rows, full)
     basic = BasicSet(
         group=g,
@@ -488,6 +447,6 @@ def exact_gamma(g: GroupId, c: Catalog) -> GammaResult:
 
 def all_minimum_covers(g: GroupId, c: Catalog) -> list[tuple[SubgroupDescriptor, ...]]:
     """Every optimal covering subset, in lexicographic descriptor order."""
-    _, descs, rows, full = _coverage_rows(g, c)
+    descs, rows, full = _coverage_rows(g, c)
     gamma = len(_first_cover(rows, full))
     return [tuple(descs[j] for j in cover) for cover in _covers(rows, full, gamma)]

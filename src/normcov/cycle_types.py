@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .numtheory import Interval, a_of_n
@@ -155,23 +154,37 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} outside enumeration bound 1..{MAX_PARTITION_DEGREE}")
 
 
-@lru_cache(maxsize=None)
-def _partitions_raw(n: int) -> tuple[tuple[int, ...], ...]:
-    def gen(rest: int, maxpart: int):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, maxpart), 0, -1):
-            for tail in gen(rest - first, first):
-                yield (first,) + tail
+def _classes(n: int, alt: bool, prune: int = 0):
+    """Yield (parts, split tag, sums) for each class of S_n, or of A_n if alt.
 
-    return tuple(gen(n, n))
+    The one partition enumerator: a depth-first walk, parts descending, in
+    class_universe order. For A_n it keeps even types only, and a split type
+    gives its PLUS class, then its MINUS class. sums is the subset-sum bitmask
+    of parts: bit s is set iff some of the parts sum to s. A prefix whose sums
+    meet prune is skipped with its whole subtree.
+    """
+    _check_degree(n)
+    whole = (SplitTag.NOT_SPLIT,)
+    halves = (SplitTag.PLUS, SplitTag.MINUS)
+
+    def walk(prefix: tuple[int, ...], rest: int, top: int, mask: int):
+        for part in range(min(rest, top), 0, -1):
+            grown = mask | (mask << part)
+            if grown & prune:
+                continue
+            parts = prefix + (part,)
+            if part < rest:
+                yield from walk(parts, rest - part, part, grown)
+            elif not alt or _is_even(parts):
+                for tag in halves if alt and _splits(parts) else whole:
+                    yield parts, tag, grown
+
+    return walk((), n, n, 1)
 
 
 def partitions(n: int) -> list[CycleType]:
     """All partitions of n in reverse lexicographic order, [n] first."""
-    _check_degree(n)
-    return [CycleType(p) for p in _partitions_raw(n)]
+    return [CycleType(parts) for parts, _, _ in _classes(n, False)]
 
 
 def _is_even(parts: tuple[int, ...]) -> bool:
@@ -247,15 +260,4 @@ def class_universe(g: GroupId) -> list[ClassId]:
     For S_n: one class per partition. For A_n: the even partitions, with
     split types contributing a PLUS and a MINUS class.
     """
-    _check_degree(g.degree)
-    out: list[ClassId] = []
-    for t in partitions(g.degree):
-        if g.kind is GroupKind.SYM:
-            out.append(ClassId(t))
-        elif parity(t) is Parity.EVEN:
-            if is_split(t):
-                out.append(ClassId(t, SplitTag.PLUS))
-                out.append(ClassId(t, SplitTag.MINUS))
-            else:
-                out.append(ClassId(t))
-    return out
+    return [ClassId(CycleType(parts), tag) for parts, tag, _ in _classes(g.degree, g.kind is GroupKind.ALT)]

@@ -17,18 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Union
 
-from .cycle_types import (
-    ClassId,
-    CycleType,
-    GroupId,
-    GroupKind,
-    Parity,
-    SplitTag,
-    _is_even,
-    is_split,
-    parity,
-    partitions,
-)
+from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
 from .numtheory import divisors
 from .permgroup import GeneratedGroup, Perm, alt_class_coverage, closure, conjugate, type_spectrum
 
@@ -208,14 +197,14 @@ def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
 
 _NAMED_LOCK = threading.Lock()
 _NAMED_CACHE: dict[tuple[str, str, int], GeneratedGroup] = {}
+# Resolved once: every named_group call reads it, and resolving costs ~0.1 ms.
+_PACKAGE_DATA = Path(resources.files("normcov") / "data")
 
 
 def data_dir() -> Path:
     """Directory holding generators.json and catalogs/; NCK_DATA_DIR overrides."""
     env = os.environ.get("NCK_DATA_DIR")
-    if env:
-        return Path(env)
-    return Path(resources.files("normcov") / "data")
+    return Path(env) if env else _PACKAGE_DATA
 
 
 @lru_cache(maxsize=8)
@@ -351,8 +340,8 @@ def _spectrum_parts(grp: GeneratedGroup) -> frozenset[tuple[int, ...]]:
 def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     """Membership of a raw descending cycle type in the S_n-level class d.
 
-    The one membership rule: contains_type, class_coverage and
-    verify_basic_set all test types through it.
+    The one membership rule: contains_type and the walk in _signatures
+    test types through it.
     """
     if isinstance(d, Intransitive):
         return lambda parts: _subset_sum(parts, d.k)
@@ -388,14 +377,20 @@ def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
     return _member_test(inner)
 
 
+@lru_cache(maxsize=64)
+def _alt_classes(grp: GeneratedGroup) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
+    return frozenset((c.ctype.parts, c.split_tag) for c in alt_class_coverage(grp))
+
+
 def _coverage_rule(
     d: SubgroupDescriptor, g: GroupId
-) -> Callable[[tuple[int, ...]], bool] | frozenset[ClassId]:
+) -> Callable[[tuple[int, ...]], bool] | frozenset[tuple[tuple[int, ...], SplitTag]]:
     """How the component d meets the classes of g; raises ValueError if it cannot be one.
 
     Mostly a test on raw cycle types. In A_n the test is read on even types
     only, and a split type it accepts meets both of its A_n classes. A named
-    group of even permutations in A_n instead gives its exact set of classes.
+    group of even permutations in A_n instead gives its exact set of classes,
+    as raw (parts, split tag) pairs.
     """
     if d.degree != g.degree:
         raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {g}")
@@ -410,30 +405,59 @@ def _coverage_rule(
         # of the intersection contains odd permutations.
         return _intersect_alt_test(d)
     if isinstance(d, NamedGroup):
-        return alt_class_coverage(named_group(d.degree, d.name, d.cls))
+        return _alt_classes(named_group(d.degree, d.name, d.cls))
     raise ValueError(
         f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
     )
 
 
-@lru_cache(maxsize=4096)
+def _signatures(g: GroupId, components, prune: bool = False):
+    """Yield (parts, split tag, signature) for the classes of g, in class_universe order.
+
+    Bit i of the signature is set iff components[i] meets the class. An
+    intransitive component meets it iff bit k of the walk's subset sums is
+    set. With prune, the walk skips every subtree that an intransitive
+    component covers, so it yields only classes that no such component meets,
+    and it stops testing a class at the first component that meets it: the
+    signature is then only good for telling 0 from not 0. Bad pairings raise
+    ValueError here, before the walk starts.
+    """
+    n = g.degree
+    cut = 0
+    sums_bits, tests, class_sets = [], [], []
+    for i, d in enumerate(components):
+        rule = _coverage_rule(d, g)
+        inner = d.inner if isinstance(d, IntersectAlt) else d
+        if isinstance(rule, frozenset):
+            class_sets.append((1 << i, rule))
+        elif not isinstance(inner, Intransitive):
+            tests.append((1 << i, rule))
+        elif prune:
+            cut |= (1 << inner.k) | (1 << (n - inner.k))
+        else:
+            sums_bits.append((1 << i, 1 << inner.k))
+    classes = _classes(n, g.kind is GroupKind.ALT, cut)
+
+    def signed():
+        for parts, tag, sums in classes:
+            sig = 0
+            for bit, k in sums_bits:
+                if sums & k:
+                    sig |= bit
+            for bit, test in tests:
+                if not (prune and sig) and test(parts):
+                    sig |= bit
+            for bit, met in class_sets:
+                if not (prune and sig) and (parts, tag) in met:
+                    sig |= bit
+            yield parts, tag, sig
+
+    return signed()
+
+
 def class_coverage(d: SubgroupDescriptor, g: GroupId) -> frozenset[ClassId]:
     """Exact set of conjugacy classes of g met by the subgroup class d."""
-    rule = _coverage_rule(d, g)
-    if isinstance(rule, frozenset):
-        return rule
-    if g.kind is GroupKind.SYM:
-        return frozenset(ClassId(t) for t in partitions(g.degree) if rule(t.parts))
-    cover: set[ClassId] = set()
-    for t in partitions(g.degree):
-        if parity(t) is not Parity.EVEN or not rule(t.parts):
-            continue
-        if is_split(t):
-            cover.add(ClassId(t, SplitTag.PLUS))
-            cover.add(ClassId(t, SplitTag.MINUS))
-        else:
-            cover.add(ClassId(t))
-    return frozenset(cover)
+    return frozenset(ClassId(CycleType(parts), tag) for parts, tag, sig in _signatures(g, (d,)) if sig)
 
 
 # --- catalogs ---------------------------------------------------------------

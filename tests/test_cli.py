@@ -111,6 +111,25 @@ def test_verify_malformed_file(capsys, tmp_path, doc):
         assert code == 2 and out == "" and err.startswith("error: "), (doc, err)
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["--family", "upper_sym", "--n", "9", "--group", "alt"], "'group'"),
+        (["--family", "sym_prime", "--n", "7"], "'p'"),
+        (["--family", "special_a9", "--n", "9"], "'n'"),
+        (["--family", "prime_power", "--p", "2"], "'alpha'"),
+        # degrees above the enumeration bound, caught by the walk itself
+        (["--family", "prime_power", "--p", "2", "--alpha", "6"], "1..60"),
+        (["--family", "two_primes", "--p", "3", "--q", "23"], "1..60"),
+        (["--family", "upper_sym", "--n", "62"], "1..60"),
+    ],
+)
+def test_verify_bad_family_parameters(capsys, argv, word):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", *argv, "--format", fmt)
+        assert code == 2 and out == "" and err.startswith("error: ") and word in err, (argv, err)
+
+
 def test_verify_roundtrip_matches_direct(capsys, tmp_path):
     basic = construct_delta("special_s10")
     path = tmp_path / "s10.json"

@@ -1,6 +1,7 @@
 """Basic-set verification, the named constructions, and the exact set cover."""
 
 import json
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -16,8 +17,20 @@ from normcov.coverings import (
     mandatory_components,
     verify_basic_set,
 )
-from normcov.cycle_types import ClassId, CycleType, GroupId, GroupKind, class_universe
+from normcov.cycle_types import (
+    ClassId,
+    CycleType,
+    GroupId,
+    GroupKind,
+    Parity,
+    SplitTag,
+    class_universe,
+    is_split,
+    parity,
+    partitions,
+)
 from normcov.numtheory import euler_phi, is_prime
+from normcov.permgroup import alt_class_coverage
 from normcov.subgroups import (
     Catalog,
     CatalogError,
@@ -26,7 +39,9 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
+    _intersect_alt_test,
     class_coverage,
+    contains_type,
     data_dir,
     descriptor_sort_key,
     load_catalog,
@@ -103,10 +118,30 @@ def test_verify_s12_three_component_failure():
 # --- the pruned walk against the per-component sweep ----------------------------
 
 
+def _classes_of(t, g):
+    """The classes of g with cycle type t, in class_universe order."""
+    if g.kind is GroupKind.SYM:
+        return (ClassId(t),)
+    if parity(t) is Parity.ODD:
+        return ()
+    return (ClassId(t, SplitTag.PLUS), ClassId(t, SplitTag.MINUS)) if is_split(t) else (ClassId(t),)
+
+
+@lru_cache(maxsize=None)
+def _met_by(d, g):
+    """The classes of g that the component d meets, swept here apart from the walk."""
+    if g.kind is GroupKind.ALT and isinstance(d, NamedGroup):
+        return alt_class_coverage(named_group(d.degree, d.name, d.cls))
+    if isinstance(d, IntersectAlt):
+        test = _intersect_alt_test(d)
+        return frozenset(c for t in partitions(g.degree) if test(t.parts) for c in _classes_of(t, g))
+    return frozenset(c for t in partitions(g.degree) if contains_type(d, t) for c in _classes_of(t, g))
+
+
 def _sweep_uncovered(rep):
-    """The uncovered classes by the per-component sweep: class_universe minus the matrix."""
-    met = set().union(*rep.coverage_matrix.values())
-    return tuple(c for c in class_universe(rep.group) if c not in met)
+    """The uncovered classes by a per-component sweep over partitions(n), in class_universe order."""
+    met = set().union(*(_met_by(d, rep.group) for d in rep.components))
+    return tuple(c for t in partitions(rep.group.degree) for c in _classes_of(t, rep.group) if c not in met)
 
 
 def family_sets(max_n):
@@ -146,13 +181,15 @@ def family_sets(max_n):
 def check_walk_agrees(max_n, max_removed_n):
     """Walk and sweep give the same uncovered tuple, order included.
 
-    Checks every family set up to max_n, and up to max_removed_n every set
-    with one component taken out. Returns how many sets were compared.
+    Checks every family set up to max_n, and its coverage matrix, and up to
+    max_removed_n every set with one component taken out. Returns how many
+    sets were compared.
     """
     compared = 0
     for b in family_sets(max_n):
         rep = verify_basic_set(b)
         assert rep.uncovered == _sweep_uncovered(rep) == (), b.provenance
+        assert rep.coverage_matrix == {d: _met_by(d, b.group) for d in b.components}, b.provenance
         compared += 1
         if b.group.degree > max_removed_n:
             continue
@@ -200,6 +237,7 @@ def test_walk_agrees_on_random_subsets(data):
     rep = verify_basic_set(BasicSet(g, tuple(comps)))
     assert rep.uncovered == _sweep_uncovered(rep)
     assert rep.covered == (not rep.uncovered)
+    assert rep.coverage_matrix == {d: _met_by(d, g) for d in comps}
 
 
 @pytest.mark.parametrize(

@@ -51,12 +51,14 @@ def test_partition_counts():
 
 
 def test_partition_order_and_shape():
-    ps = partitions(6)
-    assert ps[0] == ct(6) and ps[-1] == ct(1, 1, 1, 1, 1, 1)
-    raw = [p.parts for p in ps]
-    assert raw == sorted(raw, reverse=True), "reverse lexicographic order"
-    assert len(set(ps)) == len(ps)
-    assert all(p.n == 6 for p in ps)
+    for n in range(1, 26):
+        ps = partitions(n)
+        assert ps[0] == ct(n) and ps[-1] == ct(*[1] * n)
+        raw = [p.parts for p in ps]
+        assert raw == sorted(raw, reverse=True), "reverse lexicographic order"
+        assert all(list(r) == sorted(r, reverse=True) for r in raw), "parts descending"
+        assert len(set(ps)) == len(ps) == count_partitions(n)
+        assert all(p.n == n for p in ps)
 
 
 def test_partition_bound_errors():

@@ -2,12 +2,14 @@
 
 import json
 import shutil
+from math import factorial
 
 import pytest
 
 from normcov.cycle_types import MAX_PARTITION_DEGREE, ClassId, CycleType, GroupId, Parity, is_split, partitions
 from normcov.numtheory import primes_up_to
 from normcov.permgroup import (
+    Perm,
     alt_class_coverage,
     closure,
     cycle_type_of,
@@ -176,7 +178,20 @@ def _materialize(inner):
         return closure(n, direct_product_gens(n, inner.k))
     if isinstance(inner, Imprimitive):
         return closure(n, wreath_gens(n, inner.b, inner.c))
+    if isinstance(inner, FullAlternating):
+        return closure(n, [Perm.from_cycles(n, [[1, 2, i]]) for i in range(3, n + 1)])
     return named_group(n, inner.name, inner.cls)
+
+
+def _order(d):
+    n = d.degree
+    if isinstance(d, Intransitive):
+        return factorial(d.k) * factorial(n - d.k)
+    if isinstance(d, Imprimitive):
+        return factorial(d.b) ** d.c * factorial(d.c)
+    if isinstance(d, FullAlternating):
+        return factorial(n) // 2
+    return named_group(n, d.name, d.cls).order
 
 
 def test_intersect_alt_coverage_matches_exhaustive():
@@ -191,10 +206,17 @@ def test_intersect_alt_coverage_matches_exhaustive():
 
 
 def test_sym_coverage_matches_exhaustive():
-    g = GroupId.sym(7)
-    for d in (Intransitive(7, 2), Intransitive(7, 3), NamedGroup(7, "AGL1(7)")):
-        spec = type_spectrum(_materialize(d))
-        assert class_coverage(d, g) == frozenset(ClassId(t) for t in spec)
+    # every descriptor of the built-in S_n catalogs, n <= 9, small enough to enumerate
+    checked = 0
+    for n in range(3, 10):
+        g = GroupId.sym(n)
+        for d in load_catalog(g).descriptors:
+            if _order(d) > 10**5:
+                continue
+            spec = type_spectrum(_materialize(d))
+            assert class_coverage(d, g) == frozenset(ClassId(t) for t in spec), (str(g), str(d))
+            checked += 1
+    assert checked == 33
 
 
 def test_alt_coverage_guards():
