@@ -24,6 +24,7 @@ from .subgroups import (
     Intransitive,
     NamedGroup,
     SubgroupDescriptor,
+    _json_int,
     _signatures,
     descriptor_from_json,
     descriptor_sort_key,
@@ -87,7 +88,7 @@ class BasicSet:
             group=group,
             components=comps,
             provenance=str(obj.get("provenance", "")),
-            expected_size=obj.get("expected_size"),
+            expected_size=_json_int(obj, "expected_size") if "expected_size" in obj else None,
         )
 
 

@@ -125,8 +125,6 @@ class IntersectAlt:
 
 SubgroupDescriptor = Union[Intransitive, Imprimitive, FullAlternating, NamedGroup, IntersectAlt]
 
-_KIND_RANK = {FullAlternating: 0, Intransitive: 1, Imprimitive: 2, NamedGroup: 3, IntersectAlt: 4}
-
 
 def descriptor_sort_key(d: SubgroupDescriptor):
     """Deterministic ordering used for reproducible witnesses and reports."""
@@ -153,17 +151,28 @@ def descriptor_to_json(d: SubgroupDescriptor) -> dict:
     return {"kind": "intersect_alt", "inner": descriptor_to_json(d.inner)}
 
 
+def _json_int(obj: dict, key: str, default: int | None = None) -> int:
+    """obj[key], or default when it is absent; ValueError naming key unless a JSON integer.
+
+    A bool, float or string is refused, not coerced: 2.9 would read as 2.
+    """
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} must be an integer, not {value!r}")
+    return value
+
+
 def descriptor_from_json(obj: dict, degree: int) -> SubgroupDescriptor:
     try:
         kind = obj["kind"]
         if kind == "intransitive":
-            return Intransitive(degree, int(obj["k"]))
+            return Intransitive(degree, _json_int(obj, "k"))
         if kind == "imprimitive":
-            return Imprimitive(degree, int(obj["b"]), int(obj["c"]))
+            return Imprimitive(degree, _json_int(obj, "b"), _json_int(obj, "c"))
         if kind == "alternating":
             return FullAlternating(degree)
         if kind == "named":
-            return NamedGroup(degree, str(obj["name"]), int(obj.get("class", 1)))
+            return NamedGroup(degree, str(obj["name"]), _json_int(obj, "class", 1))
         if kind == "intersect_alt":
             inner = descriptor_from_json(obj["inner"], degree)
             return IntersectAlt(inner)
@@ -269,65 +278,44 @@ def _subset_sum(parts: tuple[int, ...], target: int) -> bool:
     return bool((mask >> target) & 1)
 
 
-def _counts(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    out: list[list[int]] = []
-    for p in parts:
-        if out and out[-1][0] == p:
-            out[-1][1] += 1
-        else:
-            out.append([p, 1])
-    return tuple((v, c) for v, c in out)
+def _fill(parts: tuple[int, ...], d: int, need: int):
+    """Yield the rest of parts after taking parts divisible by d whose quotients sum to need.
 
-
-def _group_choices(ms: tuple[tuple[int, int], ...], d: int, b: int, anchor: int):
-    """Yield remaining multisets after removing a valid block-orbit group.
-
-    A group is a sub-multiset containing the anchor value, with every member
-    divisible by d and member/d summing to b.
+    The rest stays descending. Each distinct value is tried once per slot,
+    so no sub-multiset is taken twice.
     """
-    eligible = [(v, c) for v, c in ms if v % d == 0]
-
-    def rec(idx: int, remaining: int, used: dict[int, int]):
-        if remaining == 0:
-            if used.get(anchor, 0) >= 1:
-                left = []
-                for v, c in ms:
-                    stay = c - used.get(v, 0)
-                    if stay:
-                        left.append((v, stay))
-                yield tuple(left)
-            return
-        if idx == len(eligible):
-            return
-        v, c = eligible[idx]
-        step = v // d
-        max_take = min(c, remaining // step)
-        for take in range(max_take, -1, -1):
-            if take:
-                used[v] = take
-            yield from rec(idx + 1, remaining - take * step, used)
-            used.pop(v, None)
-
-    yield from rec(0, b, {})
+    if need == 0:
+        yield parts
+        return
+    prev = 0
+    for i, p in enumerate(parts):
+        if p == prev or p % d or p > d * need:
+            continue
+        prev = p
+        for left in _fill(parts[i + 1 :], d, need - p // d):
+            yield parts[:i] + left
 
 
 @lru_cache(maxsize=250000)
-def _wreath_cover(ms: tuple[tuple[int, int], ...], b: int) -> bool:
-    """Can the multiset of cycle lengths be partitioned into block-orbit groups?
+def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
+    """Does S_b wr S_c hold a permutation with these descending cycle lengths?
 
-    Each group takes a divisor d of all its members with sum(member/d) == b;
-    the groups' d values automatically sum to the block count.
+    A cycle of the top group of length d whose block product has type mu
+    gives the cycles d*mu, with sum(mu) == b. So the first part v opens an
+    orbit of d blocks for a divisor d of v with v <= d*b and d at most the
+    blocks left; later parts divisible by d fill its other d*b - v points.
     """
-    if not ms:
+    if not parts:
         return True
-    total = sum(v * c for v, c in ms)
-    c_rem = total // b
-    anchor = ms[0][0]
-    for d in divisors(anchor):
-        if d > c_rem:
+    head, rest = parts[0], parts[1:]
+    blocks = sum(parts) // b
+    for d in divisors(head):
+        if d > blocks:
+            break
+        if head > d * b:
             continue
-        for rest in _group_choices(ms, d, b, anchor):
-            if _wreath_cover(rest, b):
+        for left in _fill(rest, d, b - head // d):
+            if _wreath_cover(left, b):
                 return True
     return False
 
@@ -346,7 +334,7 @@ def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     if isinstance(d, Intransitive):
         return lambda parts: _subset_sum(parts, d.k)
     if isinstance(d, Imprimitive):
-        return lambda parts: _wreath_cover(_counts(parts), d.b)
+        return lambda parts: _wreath_cover(parts, d.b)
     if isinstance(d, FullAlternating):
         return _is_even
     if isinstance(d, NamedGroup):

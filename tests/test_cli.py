@@ -101,6 +101,15 @@ def test_verify_missing_args(capsys):
         {"group": "S7", "components": [{"kind": "intransitive", "k": 9}]},
         {"group": "S7", "components": [{"kind": "sylow"}]},
         {"group": "S7", "components": ["intransitive:2"]},
+        # a field that is no JSON integer is refused, not coerced
+        {"group": "S7", "components": [{"kind": "intransitive", "k": 2.9}]},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": "2"}]},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": True}]},
+        {"group": "S8", "components": [{"kind": "imprimitive", "b": 2.0, "c": 4}]},
+        {"group": "S8", "components": [{"kind": "imprimitive", "b": 2, "c": "4"}]},
+        {"group": "S7", "components": [{"kind": "named", "name": "AGL1(7)", "class": True}]},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "expected_size": 1.5},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "expected_size": True},
     ],
 )
 def test_verify_malformed_file(capsys, tmp_path, doc):

@@ -77,6 +77,10 @@ def test_basic_set_json_roundtrip():
     b = construct_delta("special_s10")
     again = BasicSet.from_json(b.to_json())
     assert again.group == b.group and again.components == b.components
+    assert again.expected_size == b.expected_size == 3
+    for bad in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match="field 'expected_size'"):
+            BasicSet.from_json(dict(b.to_json(), expected_size=bad))
 
 
 # --- verification ----------------------------------------------------------------

@@ -91,6 +91,17 @@ def test_descriptor_json_roundtrip():
         assert descriptor_from_json(descriptor_to_json(d), 12) == d
     with pytest.raises(CatalogError):
         descriptor_from_json({"kind": "nope"}, 12)
+    # a field that is no JSON integer is refused by name, not coerced
+    for obj, field in [
+        ({"kind": "intransitive", "k": 2.9}, "k"),
+        ({"kind": "intransitive", "k": "2"}, "k"),
+        ({"kind": "imprimitive", "b": True, "c": 6}, "b"),
+        ({"kind": "imprimitive", "b": 3, "c": 4.0}, "c"),
+        ({"kind": "named", "name": "M12", "class": True}, "class"),
+        ({"kind": "intersect_alt", "inner": {"kind": "intransitive", "k": None}}, "k"),
+    ]:
+        with pytest.raises(CatalogError, match=f"field '{field}'"):
+            descriptor_from_json(obj, 12)
 
 
 # --- membership ---------------------------------------------------------------
@@ -157,6 +168,46 @@ def test_imprimitive_membership_against_closure_small():
             d = Imprimitive(n, b, c)
             for t in partitions(n):
                 assert contains_type(d, t) == (t in spec), (n, b, c, str(t))
+
+
+def _wreath_types(b: int, c: int) -> set[tuple[int, ...]]:
+    """Cycle types of S_b wr S_c, built from the shapes of its elements.
+
+    A top cycle of length d whose block product has type mu (a partition of
+    b) gives the cycles d*mu; an element's type is the union of these over
+    the top cycles, a partition of c.
+    """
+    orbits = {d: [tuple(d * m for m in mu.parts) for mu in partitions(b)] for d in range(1, c + 1)}
+    memo: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+
+    def tops(left: int, most: int) -> set[tuple[int, ...]]:
+        if left == 0:
+            return {()}
+        if (left, most) not in memo:
+            memo[left, most] = {
+                tuple(sorted(orbit + rest, reverse=True))
+                for d in range(1, min(left, most) + 1)
+                for orbit in orbits[d]
+                for rest in tops(left - d, d)
+            }
+        return memo[left, most]
+
+    return tops(c, c)
+
+
+def test_imprimitive_membership_against_element_shapes():
+    # every S_b wr S_c of degree at most 30, beyond the reach of closure
+    pairs = 0
+    for n in range(4, 31):
+        types = partitions(n)
+        for b in range(2, n // 2 + 1):
+            if n % b:
+                continue
+            d, spec = Imprimitive(n, b, n // b), _wreath_types(b, n // b)
+            for t in types:
+                assert contains_type(d, t) == (t.parts in spec), (b, n // b, str(t))
+            pairs += len(types)
+    assert pairs == 80240
 
 
 # --- coverage -------------------------------------------------------------------
@@ -334,6 +385,11 @@ def test_catalog_file_roundtrip(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(CatalogError):
+        load_catalog(path=bad)
+    # a catalog field must be a JSON integer: 2.0 is not read as 2
+    obj = {"group": "S6", "complete": False, "subgroups": [{"kind": "imprimitive", "b": 2.0, "c": 3}]}
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(CatalogError, match="field 'b'"):
         load_catalog(path=bad)
 
 
