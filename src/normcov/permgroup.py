@@ -1,12 +1,15 @@
 """Explicit permutations and exhaustive enumeration of small groups.
 
 Enumeration is the canonical representation here: every group this package
-materializes has order at most 10**6, and full type spectra are needed anyway,
-so breadth-first closure over byte-encoded permutations does all the work.
+materializes has order at most 10**6. Dimino's closure lists byte-encoded
+elements coset by coset; spectra and A_n classes are read off a slice of them
+that holds a conjugate of every element (see _stabiliser_slice).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .cycle_types import ClassId, CycleType, Parity, SplitTag, is_split
@@ -36,7 +39,7 @@ DEFAULT_CLOSURE_CAP = 10**6
 
 
 class ClosureCapExceeded(RuntimeError):
-    """Raised when a breadth-first closure would exceed its element cap."""
+    """Raised when a closure would exceed its element cap."""
 
 
 class Perm:
@@ -213,44 +216,59 @@ class GeneratedGroup:
 
 
 def closure(degree: int, gens: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -> GeneratedGroup:
-    """Breadth-first closure of the generators; raises ClosureCapExceeded past cap.
+    """Dimino's closure of the generators; raises ClosureCapExceeded past cap.
 
-    Same generators always produce the same element order.
+    H = <gens[:i]> grows to <gens[:i+1]> by left cosets x*H. A generator s
+    sends the coset of r to the coset of s*r, so the set is consulted once
+    per coset and generator, and each new coset is one translate per element
+    of H. Same generators always produce the same element order, identity first.
     """
     if degree > 255:
         raise ValueError("degrees above 255 are out of scope")
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    tables = [bytes(g.images) + bytes(range(degree, 256)) for g in gens]
-    ident = bytes(range(degree))
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for t in tables:
-                f = e.translate(t)
-                if f not in seen:
-                    if len(seen) >= cap:
+    pad = bytes(range(degree, 256))
+    tables = [bytes(g.images) + pad for g in gens]
+    order = [bytes(range(degree))]
+    seen = set(order)
+    for i in range(len(tables)):
+        sub, reps = order[:], order[:1]
+        for r in reps:
+            for t in tables[: i + 1]:
+                x = r.translate(t)
+                if x not in seen:
+                    if len(order) + len(sub) > cap:
                         raise ClosureCapExceeded(
                             f"closure exceeds cap {cap} (degree {degree}, {len(gens)} generators)"
                         )
-                    seen.add(f)
-                    order.append(f)
-                    nxt.append(f)
-        frontier = nxt
+                    coset = list(map(bytes.translate, sub, repeat(x + pad)))
+                    seen.update(coset)
+                    order += coset
+                    reps.append(x)
     return GeneratedGroup(degree, tuple(gens), tuple(order))
+
+
+def _stabiliser_slice(g: GeneratedGroup) -> list[bytes]:
+    """The elements e with e(0) least in its orbit under G_0, the stabiliser of 0.
+
+    Conjugating x by h in G_0 sends x(0) to h(x(0)), so every element is
+    conjugate under G_0 to one in the slice: same cycle type, and same A_n
+    class when G is all even.
+    """
+    stab = [e for e in g._elements if e[0] == 0]
+    least, placed = bytearray(g.degree), set()
+    for p in range(g.degree):
+        if p not in placed:
+            least[p] = 1
+            placed.update(map(itemgetter(p), stab))
+    return [e for e in g._elements if least[e[0]]]
 
 
 def type_spectrum(g: GeneratedGroup) -> frozenset[CycleType]:
     """The set of cycle types realized by elements of the group."""
     if g._spectrum is None:
-        seen: set[tuple[int, ...]] = set()
-        for eb in g._elements:
-            seen.add(_cycle_lengths(eb))
-        g._spectrum = frozenset(CycleType(p) for p in seen)
+        g._spectrum = frozenset(map(CycleType, set(map(_cycle_lengths, _stabiliser_slice(g)))))
     return g._spectrum
 
 
@@ -307,15 +325,16 @@ def split_class_of(x: Perm) -> ClassId:
 def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
     """All A_n classes met by a group of even permutations.
 
-    Raises if any element is odd; intersect with the alternating group first.
+    Raises if a generator is odd; intersect with the alternating group first.
+    Reads the stabiliser slice: conjugating by the even G_0 keeps A_n classes.
     """
+    if not g.all_even():
+        raise ValueError("group contains odd permutations; intersect with A_n first")
     cover: set[ClassId] = set()
     done_nonsplit: set[tuple[int, ...]] = set()
     split_done: set[tuple[int, ...]] = set()
-    for eb in g._elements:
+    for eb in _stabiliser_slice(g):
         lens = _cycle_lengths(eb)
-        if (g.degree - len(lens)) & 1:
-            raise ValueError("group contains odd permutations; intersect with A_n first")
         if len(set(lens)) == len(lens) and all(p % 2 == 1 for p in lens):
             if lens in split_done:
                 continue

@@ -2,7 +2,7 @@
 
 A descriptor names a conjugacy class of subgroups symbolically. Membership of
 a cycle type is decided combinatorially for the intransitive and imprimitive
-families, by parity for the alternating group, and by exhaustive type spectrum
+families, by parity for the alternating group, and by the exact type spectrum
 for named groups backed by generator data.
 """
 
@@ -232,11 +232,24 @@ def named_group_names() -> list[str]:
     return sorted(_generator_records(str(data_dir() / "generators.json")))
 
 
+def _record(degree: int, name: str, cls: int) -> dict:
+    """The generator record behind class cls of name; CatalogError if there is none."""
+    rec = _generator_records(str(data_dir() / "generators.json")).get(name)
+    if rec is None:
+        raise CatalogError(f"no generator record named {name!r}")
+    if rec["degree"] != degree:
+        raise CatalogError(f"{name} has degree {rec['degree']}, not {degree}")
+    if cls not in (1, 2) or (cls == 2 and rec.get("classes", 1) < 2):
+        raise CatalogError(f"{name} does not have a class {cls}")
+    return rec
+
+
 def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
     """Materialize a named group; closure must reproduce the recorded order.
 
     cls=2 is the conjugate of the recorded generators by the transposition
-    (1 2), giving the second conjugacy class where one exists.
+    (1 2), giving the second conjugacy class where one exists. Intransitive
+    generators are refused.
     """
     key = (str(data_dir()), name, cls)
     with _NAMED_LOCK:
@@ -246,15 +259,15 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
             raise CatalogError(f"{name} has degree {cached.degree}, not {degree}")
         return cached
 
-    records = _generator_records(str(data_dir() / "generators.json"))
-    rec = records.get(name)
-    if rec is None:
-        raise CatalogError(f"no generator record named {name!r}")
-    if rec["degree"] != degree:
-        raise CatalogError(f"{name} has degree {rec['degree']}, not {degree}")
-    if cls not in (1, 2) or (cls == 2 and rec.get("classes", 1) < 2):
-        raise CatalogError(f"{name} does not have a class {cls}")
+    rec = _record(degree, name, cls)
     gens = [Perm.from_cycles(degree, cycles) for cycles in rec["generators"]]
+    orbit, todo = {0}, [0]
+    for p in todo:
+        for q in {g.images[p] for g in gens} - orbit:
+            orbit.add(q)
+            todo.append(q)
+    if len(orbit) < degree:
+        raise CatalogError(f"{name}: intransitive generators, point 1 has an orbit of {len(orbit)} < {degree}")
     if cls == 2:
         swap = Perm.from_cycles(degree, [[1, 2]])
         gens = [conjugate(g, swap) for g in gens]
@@ -266,6 +279,13 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
     with _NAMED_LOCK:
         _NAMED_CACHE[key] = grp
     return grp
+
+
+def _class_one(d: NamedGroup) -> GeneratedGroup:
+    """Class 1 of d's record; class 2, its conjugate by (1 2), has the same types and parity."""
+    if d.cls != 1:
+        _record(d.degree, d.name, d.cls)
+    return named_group(d.degree, d.name)
 
 
 # --- membership semantics ---------------------------------------------------
@@ -338,7 +358,7 @@ def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     if isinstance(d, FullAlternating):
         return _is_even
     if isinstance(d, NamedGroup):
-        return _spectrum_parts(named_group(d.degree, d.name, d.cls)).__contains__
+        return _spectrum_parts(_class_one(d)).__contains__
     raise TypeError(f"unknown descriptor {d!r}")
 
 
@@ -358,7 +378,7 @@ def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
     The membership command and _coverage_rule both decide intersections here.
     """
     inner = d.inner
-    if isinstance(inner, NamedGroup) and named_group(inner.degree, inner.name, inner.cls).all_even():
+    if isinstance(inner, NamedGroup) and _class_one(inner).all_even():
         raise ValueError(
             f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
         )
@@ -366,7 +386,11 @@ def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
 
 
 @lru_cache(maxsize=64)
-def _alt_classes(grp: GeneratedGroup) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
+def _alt_classes(grp: GeneratedGroup, cls: int) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
+    """The A_n classes of class cls of grp's record; class 2 swaps the split pairs of class 1, grp."""
+    if cls == 2:
+        swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
+        return frozenset((parts, swap.get(tag, tag)) for parts, tag in _alt_classes(grp, 1))
     return frozenset((c.ctype.parts, c.split_tag) for c in alt_class_coverage(grp))
 
 
@@ -393,7 +417,7 @@ def _coverage_rule(
         # of the intersection contains odd permutations.
         return _intersect_alt_test(d)
     if isinstance(d, NamedGroup):
-        return _alt_classes(named_group(d.degree, d.name, d.cls))
+        return _alt_classes(_class_one(d), d.cls)
     raise ValueError(
         f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
     )

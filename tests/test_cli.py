@@ -223,6 +223,28 @@ def test_membership_alt_rejects_all_even_named_groups(capsys):
     assert out == "[3,3,1,1] in alt:intransitive:3: yes (even type contained in the intersected class)\n"
 
 
+def test_missing_second_class_refused_by_name(capsys, tmp_path):
+    # class 2 is derived from class 1, so a record without one must still be refused
+    named = {"kind": "named", "name": "AGL1(5)", "class": 2}
+    docs = {
+        "basic.json": {"group": "S5", "components": [named, {"kind": "intransitive", "k": 1}]},
+        "s5.json": {"group": "S5", "complete": False, "subgroups": [named, {"kind": "alternating"}]},
+        "a5.json": {"group": "A5", "complete": False, "subgroups": [{"kind": "intersect_alt", "inner": named}]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    for argv in (
+        ["membership", "5", "named:AGL1(5):2", "[5]"],
+        ["membership", "5", "alt:named:AGL1(5):2", "[5]"],
+        ["verify", "--file", str(tmp_path / "basic.json")],
+        ["gamma", "5", "sym", "--catalog", str(tmp_path / "s5.json")],
+        ["gamma", "5", "alt", "--catalog", str(tmp_path / "a5.json")],
+    ):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 2 and out == "" and "AGL1(5) does not have a class 2" in err, (argv, err)
+
+
 def test_membership_errors(capsys):
     code, out, _ = run(capsys, "membership", "12", "imprimitive:3,4", "[1,2]")
     assert code == 2 and out == ""

@@ -1,11 +1,23 @@
 """Permutations, closure enumeration, spectra and split-class resolution."""
 
+import json
 import random
 from math import factorial, lcm
 
 import pytest
 
-from normcov.cycle_types import CycleType, GroupId, Parity, SplitTag, class_universe, parity, partitions
+from normcov.cycle_types import (
+    ClassId,
+    CycleType,
+    GroupId,
+    Parity,
+    SplitTag,
+    class_universe,
+    is_split,
+    parity,
+    partitions,
+)
+from normcov.numtheory import divisors
 from normcov.permgroup import (
     ClosureCapExceeded,
     Perm,
@@ -24,7 +36,7 @@ from normcov.permgroup import (
     type_spectrum,
     wreath_gens,
 )
-from normcov.subgroups import named_group
+from normcov.subgroups import IntersectAlt, NamedGroup, _coverage_rule, data_dir, named_group
 
 SEED = 424242
 print(f"test_permgroup random seed = {SEED}")
@@ -112,6 +124,49 @@ def test_closure_deterministic():
 def test_closure_cap():
     with pytest.raises(ClosureCapExceeded):
         closure(9, sym_gens(9), cap=1000)
+
+
+def _bfs_elements(degree: int, gens) -> set[bytes]:
+    """Every element of <gens>, by breadth-first products with the generators."""
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                f = tuple(g.images[x] for x in e)
+                if f not in seen:
+                    seen.add(f)
+                    nxt.append(f)
+        frontier = nxt
+    return {bytes(e) for e in seen}
+
+
+def _record_gens():
+    """(name, degree, generators) for every class of every generator record."""
+    for rec in json.loads((data_dir() / "generators.json").read_text()):
+        n = rec["degree"]
+        gens = [Perm.from_cycles(n, c) for c in rec["generators"]]
+        yield rec["name"], n, gens
+        if rec.get("classes", 1) == 2:
+            yield rec["name"] + ":2", n, [conjugate(g, Perm.from_cycles(n, [[1, 2]])) for g in gens]
+
+
+def test_closure_matches_bfs():
+    cases = list(_record_gens())
+    for n in range(3, 9):
+        cases += [(f"S{n}", n, sym_gens(n)), (f"A{n}", n, alt_gens(n))]
+        cases += [(f"S{k}xS{n - k}", n, direct_product_gens(n, k)) for k in range(1, n)]
+        cases += [(f"S{b}wrS{n // b}", n, wreath_gens(n, b, n // b)) for b in divisors(n) if 1 < b < n]
+    for name, n, gens in cases:
+        grp = closure(n, gens)
+        images = grp.element_images()
+        assert images[0] == bytes(range(n)), name
+        assert len(set(images)) == len(images) and set(images) == _bfs_elements(n, gens), name
+        assert closure(n, gens, cap=grp.order).element_images() == images, name
+        if grp.order > 1:
+            with pytest.raises(ClosureCapExceeded):
+                closure(n, gens, cap=grp.order - 1)
 
 
 def test_product_and_wreath_orders():
@@ -222,3 +277,67 @@ def test_alt_universe_matches_exhaustive_enumeration():
         grp = closure(n, alt_gens(n))
         assert grp.order == factorial(n) // 2
         assert alt_class_coverage(grp) == frozenset(class_universe(GroupId.alt(n)))
+
+
+# --- the point-stabiliser slice against every element ---------------------------
+
+
+def _every_element(grp):
+    """Cycle types of every element, and the A_n classes of its even elements."""
+    types, classes = set(), set()
+    for p in grp.elements():
+        t = cycle_type_of(p)
+        types.add(t)
+        if parity(t) is Parity.EVEN:
+            classes.add(split_class_of(p) if is_split(t) else ClassId(t))
+    return frozenset(types), frozenset(classes)
+
+
+def _even_part(gens):
+    """Schreier generators of the even part of <gens>, from the transversal {1, t}, t odd."""
+    odd = [g for g in gens if not g.is_even()]
+    if not odd:
+        return list(gens)
+    t = odd[0]
+    ti = t.inverse()
+    return [x for g in gens for x in ((g, t * g * ti) if g.is_even() else (g * ti, t * g))]
+
+
+def test_slice_matches_every_element_for_records():
+    # class 2 is closed here only to check the rules, which derive it from class 1
+    for name, n, gens in _record_gens():
+        grp = closure(n, gens)
+        types, classes = _every_element(grp)
+        assert type_spectrum(grp) == types, name
+        d = NamedGroup(n, name.split(":")[0], 2 if name.endswith(":2") else 1)
+        if grp.all_even():
+            assert alt_class_coverage(grp) == classes, name
+            rule = _coverage_rule(d, GroupId.alt(n))
+            assert rule == {(c.ctype.parts, c.split_tag) for c in classes}, name
+        if n > 12:
+            continue
+        sym_rule = _coverage_rule(d, GroupId.sym(n))
+        assert {t for t in partitions(n) if sym_rule(t.parts)} == types, name
+        if not grp.all_even():
+            alt_rule = _coverage_rule(IntersectAlt(d), GroupId.alt(n))
+            even = {t for t in partitions(n) if parity(t) is Parity.EVEN}
+            assert {t for t in even if alt_rule(t.parts)} == {t for t in types if t in even}, name
+
+
+def test_slice_matches_every_element_when_stabiliser_has_many_orbits():
+    rng = random.Random(SEED)
+    for n in range(3, 10):
+        cases = [direct_product_gens(n, k) for k in range(1, n)]
+        cases += [wreath_gens(n, b, n // b) for b in divisors(n) if 1 < b < n]
+        for _ in range(4):
+            imgs = list(range(n))
+            rng.shuffle(imgs)
+            cases.append([Perm(imgs)])
+        cases.append([Perm.from_cycles(n, [[2, 3]])])  # fixes point 1, the stabiliser is everything
+        for gens in cases:
+            for g in (gens, _even_part(gens)):
+                grp = closure(n, g)
+                types, classes = _every_element(grp)
+                assert type_spectrum(grp) == types, (n, g)
+                if grp.all_even():
+                    assert alt_class_coverage(grp) == classes, (n, g)

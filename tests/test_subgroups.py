@@ -6,7 +6,16 @@ from math import factorial
 
 import pytest
 
-from normcov.cycle_types import MAX_PARTITION_DEGREE, ClassId, CycleType, GroupId, Parity, is_split, partitions
+from normcov.cycle_types import (
+    MAX_PARTITION_DEGREE,
+    ClassId,
+    CycleType,
+    GroupId,
+    Parity,
+    SplitTag,
+    is_split,
+    partitions,
+)
 from normcov.numtheory import primes_up_to
 from normcov.permgroup import (
     Perm,
@@ -27,6 +36,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
+    _NAMED_CACHE,
     catalog_to_json,
     class_coverage,
     contains_type,
@@ -321,6 +331,37 @@ def test_named_group_errors():
         named_group(10, "M11")  # wrong degree
     with pytest.raises(CatalogError):
         named_group(5, "AGL1(5)", 2)  # single-class record
+
+
+def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
+    shutil.copytree(data_dir(), tmp_path / "data")
+    gen_file = tmp_path / "data" / "generators.json"
+    records = json.loads(gen_file.read_text())
+    # <(1 2 3), (4 5 6)> has the recorded order 9, so only the orbit check refuses it
+    bad = {"name": "C3xC3", "degree": 6, "expected_order": 9, "classes": 2, "generators": [[[1, 2, 3]], [[4, 5, 6]]]}
+    gen_file.write_text(json.dumps(records + [bad]))
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    for cls in (1, 2):
+        with pytest.raises(CatalogError, match="C3xC3: intransitive generators, point 1 has an orbit of 3 <"):
+            named_group(6, "C3xC3", cls)
+    with pytest.raises(CatalogError, match="intransitive"):
+        contains_type(NamedGroup(6, "C3xC3", 2), ct(3, 3))
+    assert named_group(5, "AGL1(5)").order == 20
+
+
+def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
+    # a fresh data directory gives fresh cache keys: only class 1 may be closed
+    shutil.copytree(data_dir(), tmp_path / "data")
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    d = NamedGroup(9, "PGammaL2(8)", 2)
+    assert class_coverage(d, GroupId.alt(9)) == alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
+        ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
+    }
+    assert contains_type(d, ct(9)) and contains_type(NamedGroup(8, "AGL3(2)", 2), ct(7, 1))
+    assert sorted(key[1:] for key in _NAMED_CACHE if key[0] == str(tmp_path / "data")) == [
+        ("AGL3(2)", 1),
+        ("PGammaL2(8)", 1),
+    ]
 
 
 def test_named_second_class_is_conjugate():

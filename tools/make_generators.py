@@ -2,7 +2,7 @@
 """Regenerate src/normcov/data/generators.json.
 
 Each record carries explicit 1-indexed cycle notation plus the group order the
-breadth-first closure must reproduce before the group is considered usable.
+closure must reproduce before the group is considered usable.
 Run from the repository root:  python tools/make_generators.py
 """
 
