@@ -14,7 +14,7 @@ from inspect import signature
 from operator import or_
 
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind
-from .numtheory import euler_phi, is_prime
+from .numtheory import euler_phi, factorize, is_prime
 from .subgroups import (
     Catalog,
     CatalogError,
@@ -152,13 +152,6 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _least_prime_divisor(n: int) -> int:
-    p = 2
-    while n % p:
-        p += 1
-    return p
-
-
 def _kind(group: str | GroupKind) -> GroupKind:
     if isinstance(group, GroupKind):
         return group
@@ -180,7 +173,7 @@ def _wrap_all(comps: list[SubgroupDescriptor]) -> list[SubgroupDescriptor]:
 
 def _delta_upper_sym(n: int, big_blocks: bool = False) -> BasicSet:
     _require(n >= 4 and not is_prime(n), f"n must be composite and >= 4, got {n}")
-    p = _least_prime_divisor(n)
+    p = factorize(n)[0][0]
     wreath = Imprimitive(n, n // p, p) if big_blocks else Imprimitive(n, p, n // p)
     comps: list[SubgroupDescriptor] = [wreath]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p,))]
@@ -212,7 +205,7 @@ def _delta_upper_alt_odd(n: int) -> BasicSet:
     if is_prime(n):
         k_top: SubgroupDescriptor = NamedGroup(n, f"AGL1({n})")
     else:
-        q = _least_prime_divisor(n)
+        q = factorize(n)[0][0]
         k_top = Imprimitive(n, q, n // q)
     comps: list[SubgroupDescriptor] = [IntersectAlt(k_top)]
     comps += [IntersectAlt(Intransitive(n, k)) for k in range(1, n // 3 + 1)]

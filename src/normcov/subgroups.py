@@ -3,13 +3,16 @@
 A descriptor names a conjugacy class of subgroups symbolically. Membership of
 a cycle type is decided combinatorially for the intransitive and imprimitive
 families, by parity for the alternating group, and by the exact type spectrum
-for named groups backed by generator data.
+for named groups. AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take
+their spectrum from a closed form (_closed_form); every other named group is
+closed from its generator record in generators.json.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Union
 
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
-from .numtheory import divisors
+from .numtheory import divisors, is_prime
 from .permgroup import GeneratedGroup, Perm, alt_class_coverage, closure, conjugate, type_spectrum
 
 __all__ = [
@@ -181,6 +184,17 @@ def descriptor_from_json(obj: dict, degree: int) -> SubgroupDescriptor:
     raise CatalogError(f"unknown descriptor kind {kind!r}")
 
 
+def _descriptor_ints(fields: str, count: int, text: str) -> list[int]:
+    """count comma-separated integers from fields; ValueError quoting text otherwise."""
+    try:
+        values = [int(f) for f in fields.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"cannot parse descriptor {text!r}")
+    return values
+
+
 def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
     """Parse the CLI mini-syntax, e.g. "imprimitive:3,4" or "alt:intransitive:2"."""
     s = text.strip()
@@ -189,15 +203,14 @@ def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
     if s == "alternating":
         return FullAlternating(degree)
     if s.startswith("intransitive:"):
-        return Intransitive(degree, int(s.split(":", 1)[1]))
+        return Intransitive(degree, *_descriptor_ints(s.split(":", 1)[1], 1, text))
     if s.startswith("imprimitive:"):
-        b_s, c_s = s.split(":", 1)[1].split(",")
-        return Imprimitive(degree, int(b_s), int(c_s))
+        return Imprimitive(degree, *_descriptor_ints(s.split(":", 1)[1], 2, text))
     if s.startswith("named:"):
         rest = s.split(":", 1)[1]
         if ":" in rest:
             name, cls_s = rest.rsplit(":", 1)
-            return NamedGroup(degree, name, int(cls_s))
+            return NamedGroup(degree, name, *_descriptor_ints(cls_s, 1, text))
         return NamedGroup(degree, rest)
     raise ValueError(f"cannot parse descriptor {text!r}")
 
@@ -249,7 +262,7 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
 
     cls=2 is the conjugate of the recorded generators by the transposition
     (1 2), giving the second conjugacy class where one exists. Intransitive
-    generators are refused.
+    generators are refused, and so are AGL1(p) and PGL2(p): they have no record.
     """
     key = (str(data_dir()), name, cls)
     with _NAMED_LOCK:
@@ -286,6 +299,43 @@ def _class_one(d: NamedGroup) -> GeneratedGroup:
     if d.cls != 1:
         _record(d.degree, d.name, d.cls)
     return named_group(d.degree, d.name)
+
+
+@lru_cache(maxsize=64)
+def _closed_form(name: str) -> tuple[int, frozenset[tuple[int, ...]]] | None:
+    """Degree and raw spectrum of AGL1(p) or PGL2(p), p prime, spelt exactly so; else None.
+
+    AGL_1(p) holds the translations, each one p-cycle, and x -> a(x - c) + c,
+    which fixes c and cycles the rest in the order d | p-1 of a (d = 1 is the
+    identity). In PGL_2(p) these fix infinity too; every other element lies in
+    a non-split torus, cyclic and regular on the p+1 points, so it cycles all
+    of them in one length d > 1, d | p+1.
+    """
+    m = re.fullmatch(r"(AGL1|PGL2)\(([1-9][0-9]*)\)", name)
+    if m is None or not is_prime(p := int(m[2])):
+        return None
+    if m[1] == "AGL1":
+        return p, frozenset({(p,)} | {(d,) * ((p - 1) // d) + (1,) for d in divisors(p - 1)})
+    split = {(d,) * ((p - 1) // d) + (1, 1) for d in divisors(p - 1)}
+    return p + 1, frozenset({(p, 1)} | split | {(d,) * ((p + 1) // d) for d in divisors(p + 1)[1:]})
+
+
+def _named_spectrum(d: NamedGroup) -> tuple[frozenset[tuple[int, ...]], bool]:
+    """The raw cycle types of d and whether they are all even.
+
+    The one place that tells a closed form from a record: AGL1(p) and PGL2(p)
+    have a single class and hold odd permutations.
+    """
+    form = _closed_form(d.name)
+    if form is None:
+        grp = _class_one(d)
+        return _spectrum_parts(grp), grp.all_even()
+    degree, parts = form
+    if degree != d.degree:
+        raise CatalogError(f"{d.name} has degree {degree}, not {d.degree}")
+    if d.cls != 1:
+        raise CatalogError(f"{d.name} does not have a class {d.cls}")
+    return parts, False
 
 
 # --- membership semantics ---------------------------------------------------
@@ -342,6 +392,9 @@ def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _spectrum_parts(grp: GeneratedGroup) -> frozenset[tuple[int, ...]]:
+    """Raw spectrum of grp; an all-even group's comes from its A_n classes, which A_n reads anyway."""
+    if grp.all_even():
+        return frozenset(parts for parts, _ in _alt_classes(grp, 1))
     return frozenset(t.parts for t in type_spectrum(grp))
 
 
@@ -358,7 +411,7 @@ def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     if isinstance(d, FullAlternating):
         return _is_even
     if isinstance(d, NamedGroup):
-        return _spectrum_parts(_class_one(d)).__contains__
+        return _named_spectrum(d)[0].__contains__
     raise TypeError(f"unknown descriptor {d!r}")
 
 
@@ -378,7 +431,7 @@ def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
     The membership command and _coverage_rule both decide intersections here.
     """
     inner = d.inner
-    if isinstance(inner, NamedGroup) and _class_one(inner).all_even():
+    if isinstance(inner, NamedGroup) and _named_spectrum(inner)[1]:
         raise ValueError(
             f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
         )
@@ -417,6 +470,8 @@ def _coverage_rule(
         # of the intersection contains odd permutations.
         return _intersect_alt_test(d)
     if isinstance(d, NamedGroup):
+        if not _named_spectrum(d)[1]:
+            raise ValueError("group contains odd permutations; intersect with A_n first")
         return _alt_classes(_class_one(d), d.cls)
     raise ValueError(
         f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"

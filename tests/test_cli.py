@@ -248,8 +248,23 @@ def test_missing_second_class_refused_by_name(capsys, tmp_path):
 def test_membership_errors(capsys):
     code, out, _ = run(capsys, "membership", "12", "imprimitive:3,4", "[1,2]")
     assert code == 2 and out == ""
-    code, out, _ = run(capsys, "membership", "12", "what:3", "[1,2,9]")
-    assert code == 2 and out == ""
+    for text in ("what:3", "imprimitive:3", "imprimitive:3,4,5", "intransitive:x"):
+        code, out, err = run(capsys, "membership", "12", text, "[12]")
+        assert (code, out, err) == (2, "", f"error: cannot parse descriptor '{text}'\n"), text
+
+
+def test_closed_forms_served_above_the_old_data(capsys):
+    # AGL1(p) and PGL2(p) need no generator record, so no degree limits them
+    code, out, _ = run(capsys, "membership", "61", "named:AGL1(61)", "[61]")
+    assert code == 0 and out.startswith("[61] in named:AGL1(61): yes")
+    code, payload, _ = run_json(capsys, "membership", "62", "named:PGL2(61)", "[31,31]")
+    assert code == 0 and payload["member"] is True
+    # the partition walk's bound still holds for verify
+    code, out, err = run(capsys, "verify", "--family", "sym_prime", "--p", "61")
+    assert code == 2 and out == "" and "degree 61 outside enumeration bound 1..60" in err, err
+    # only the canonical spelling is a closed form
+    code, out, err = run(capsys, "membership", "7", "named:AGL1(07)", "[7]")
+    assert code == 2 and out == "" and "no generator record named 'AGL1(07)'" in err, err
 
 
 def test_types_t_family(capsys):

@@ -186,9 +186,11 @@ def test_sym_spectrum_is_all_partitions():
 
 
 def test_agl1_7_spectrum():
-    grp = named_group(7, "AGL1(7)")
+    # x -> x+1 and x -> 3x on Z_7, point i+1 being residue i
+    grp = closure(7, [Perm.from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]]), Perm.from_cycles(7, [[2, 4, 3, 7, 5, 6]])])
     want = {ct(1, 1, 1, 1, 1, 1, 1), ct(7), ct(1, 2, 2, 2), ct(1, 3, 3), ct(1, 6)}
-    assert type_spectrum(grp) == frozenset(want)
+    assert grp.order == 42 and type_spectrum(grp) == frozenset(want)
+    assert {t for t in partitions(7) if _coverage_rule(NamedGroup(7, "AGL1(7)"), GroupId.sym(7))(t.parts)} == want
 
 
 def test_trivial_spectrum():

@@ -1,6 +1,7 @@
 """Descriptor semantics against exhaustive enumeration, plus catalog loading."""
 
 import json
+import re
 import shutil
 from math import factorial
 
@@ -37,6 +38,7 @@ from normcov.subgroups import (
     Intransitive,
     NamedGroup,
     _NAMED_CACHE,
+    _named_spectrum,
     catalog_to_json,
     class_coverage,
     contains_type,
@@ -233,6 +235,27 @@ def exhaustive_alt_cover(grp) -> frozenset[ClassId]:
     return frozenset(cover)
 
 
+def _affine_gens(p):
+    """x -> x+1 and x -> g*x on Z_p, g a primitive root; point i+1 is residue i."""
+    g = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+    return [Perm([(x + 1) % p for x in range(p)]), Perm([x * g % p for x in range(p)])]
+
+
+def _projective_gens(p):
+    """The affine generators, fixing infinity (point p+1), and x -> 1/x."""
+    inv = Perm([p if x == 0 else 0 if x == p else pow(x, p - 2, p) for x in range(p + 1)])
+    return [Perm(a.images + (p,)) for a in _affine_gens(p)] + [inv]
+
+
+def _named_closure(n, name, cls=1):
+    """A named group closed here: AGL1 and PGL2 from the generators above, others from their record."""
+    if name == f"AGL1({n})":
+        return closure(n, _affine_gens(n))
+    if name == f"PGL2({n - 1})":
+        return closure(n, _projective_gens(n - 1))
+    return named_group(n, name, cls)
+
+
 def _materialize(inner):
     n = inner.degree
     if isinstance(inner, Intransitive):
@@ -241,7 +264,7 @@ def _materialize(inner):
         return closure(n, wreath_gens(n, inner.b, inner.c))
     if isinstance(inner, FullAlternating):
         return closure(n, [Perm.from_cycles(n, [[1, 2, i]]) for i in range(3, n + 1)])
-    return named_group(n, inner.name, inner.cls)
+    return _named_closure(n, inner.name, inner.cls)
 
 
 def _order(d):
@@ -252,7 +275,7 @@ def _order(d):
         return factorial(d.b) ** d.c * factorial(d.c)
     if isinstance(d, FullAlternating):
         return factorial(n) // 2
-    return named_group(n, d.name, d.cls).order
+    return _named_closure(n, d.name, d.cls).order
 
 
 def test_intersect_alt_coverage_matches_exhaustive():
@@ -317,11 +340,27 @@ def test_all_generator_records_materialize():
         assert grp.order == entry["expected_order"], entry["name"]
 
 
+def _check_closed_form(name, grp, order):
+    """The served spectrum of name equals that of grp, closed here, whose order is checked."""
+    assert grp.order == order, name
+    d, types = NamedGroup(grp.degree, name), type_spectrum(grp)
+    spectrum, all_even = _named_spectrum(d)
+    assert spectrum == frozenset(t.parts for t in types), name
+    assert all_even is grp.all_even() is False, name
+    if grp.degree <= 24:
+        for t in partitions(grp.degree):
+            assert contains_type(d, t) == (t in types), (name, str(t))
+
+
 def test_affine_group_at_every_prime_degree():
     # sym_prime and upper_alt_odd need AGL_1(p) at every prime degree they reach
     for p in primes_up_to(MAX_PARTITION_DEGREE):
-        if p >= 5:
-            assert named_group(p, f"AGL1({p})").order == p * (p - 1), p
+        _check_closed_form(f"AGL1({p})", closure(p, _affine_gens(p)), p * (p - 1))
+
+
+def test_projective_group_at_every_prime_degree():
+    for p in primes_up_to(23):
+        _check_closed_form(f"PGL2({p})", closure(p + 1, _projective_gens(p)), p**3 - p)
 
 
 def test_named_group_errors():
@@ -330,7 +369,17 @@ def test_named_group_errors():
     with pytest.raises(CatalogError):
         named_group(10, "M11")  # wrong degree
     with pytest.raises(CatalogError):
-        named_group(5, "AGL1(5)", 2)  # single-class record
+        named_group(10, "PGammaL2(9)", 2)  # single-class record
+    for name, degree in (("AGL1(5)", 5), ("PGL2(5)", 6)):
+        with pytest.raises(CatalogError, match="no generator record"):
+            named_group(degree, name)  # served by closed form, without generators
+        with pytest.raises(CatalogError, match=re.escape(f"{name} has degree {degree}, not 12")):
+            contains_type(NamedGroup(12, name), ct(12))
+        with pytest.raises(CatalogError, match=re.escape(f"{name} does not have a class 2")):
+            contains_type(NamedGroup(degree, name, 2), ct(degree))
+    for name in ("AGL1(9)", "AGL1(07)", "agl1(7)", "AGL1(7) ", "PGL2(+7)"):
+        with pytest.raises(CatalogError, match="no generator record"):
+            contains_type(NamedGroup(7, name), ct(7))
 
 
 def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
@@ -346,7 +395,7 @@ def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
             named_group(6, "C3xC3", cls)
     with pytest.raises(CatalogError, match="intransitive"):
         contains_type(NamedGroup(6, "C3xC3", 2), ct(3, 3))
-    assert named_group(5, "AGL1(5)").order == 20
+    assert named_group(7, "PSL2(7)").order == 168
 
 
 def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):

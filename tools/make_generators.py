@@ -2,7 +2,9 @@
 """Regenerate src/normcov/data/generators.json.
 
 Each record carries explicit 1-indexed cycle notation plus the group order the
-closure must reproduce before the group is considered usable.
+closure must reproduce before the group is considered usable. Only groups
+without a closed-form spectrum have a record: AGL1(p) and PGL2(p) are served
+from their closed forms in normcov.subgroups.
 Run from the repository root:  python tools/make_generators.py
 """
 
@@ -14,8 +16,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from normcov.cycle_types import MAX_PARTITION_DEGREE  # noqa: E402
-from normcov.numtheory import primes_up_to  # noqa: E402
 from normcov.permgroup import Perm, closure, cycles_of  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "normcov" / "data" / "generators.json"
@@ -27,50 +27,6 @@ def perm_to_cycles(p: Perm) -> list[list[int]]:
 
 def perm_from_map(n: int, fn) -> Perm:
     return Perm([fn(i) for i in range(n)])
-
-
-def primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no primitive root mod {p}")
-
-
-def agl1(p: int) -> list[Perm]:
-    """x -> x+1 and x -> g*x on Z_p; point i+1 is residue i."""
-    g = primitive_root(p)
-    t = perm_from_map(p, lambda i: (i + 1) % p)
-    m = perm_from_map(p, lambda i: i * g % p)
-    return [t, m]
-
-
-def pgl2(p: int) -> list[Perm]:
-    """Moebius maps on the projective line over Z_p.
-
-    Points 1..p are residues 0..p-1, point p+1 is infinity.
-    """
-    g = primitive_root(p)
-    INF = p
-
-    def act(fn):
-        return perm_from_map(p + 1, fn)
-
-    t = act(lambda i: (i + 1) % p if i != INF else INF)
-    m = act(lambda i: i * g % p if i != INF else INF)
-
-    def inv(i):
-        if i == INF:
-            return 0
-        if i == 0:
-            return INF
-        return pow(i, p - 2, p)
-
-    return [t, m, act(inv)]
 
 
 # --- small finite fields -------------------------------------------------
@@ -233,7 +189,6 @@ def mathieu12() -> list[Perm]:
 
 
 def main() -> None:
-    f4 = GF(2, 2, [1, 1])       # x^2 = 1 + x
     f8 = GF(2, 3, [1, 1, 0])    # x^3 = 1 + x
     f9 = GF(3, 2, [2, 0])       # x^2 = -1
 
@@ -254,13 +209,6 @@ def main() -> None:
         )
         print(f"{name:14s} degree {degree:3d} order {grp.order}")
 
-    # every prime degree the sym_prime and upper_alt_odd constructions can reach
-    for p in primes_up_to(MAX_PARTITION_DEGREE):
-        if p >= 5:
-            add(f"AGL1({p})", p, p * (p - 1), agl1(p))
-    for p in (5, 7, 11):
-        add(f"PGL2({p})", p + 1, (p + 1) * p * (p - 1), pgl2(p))
-    add("PGammaL2(4)", 5, 120, pgammal2(f4))
     add("PGammaL2(8)", 9, 1512, pgammal2(f8), classes=2)
     add("PGammaL2(9)", 10, 1440, pgammal2(f9))
     add("AGL2(3)", 9, 432, agl2_3())
