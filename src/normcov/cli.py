@@ -146,7 +146,7 @@ _MEMBERSHIP_RULES = {
     "intransitive": "the parts split into sub-multisets summing to k and n-k",
     "imprimitive": "the parts admit a block-orbit grouping",
     "alternating": "the type has even parity",
-    "named": "the type occurs in the exhaustive element spectrum",
+    "named": "the type occurs in the exact spectrum, from a closed form or every element",
 }
 
 

@@ -94,7 +94,7 @@ class FullAlternating:
 
 @dataclass(frozen=True, order=True)
 class NamedGroup:
-    """A group shipped as generator data; cls selects one of its conjugacy classes."""
+    """A named group: a closed form or a generator record; cls selects one of its conjugacy classes."""
 
     degree: int
     name: str
@@ -302,37 +302,39 @@ def _class_one(d: NamedGroup) -> GeneratedGroup:
 
 
 @lru_cache(maxsize=64)
-def _closed_form(name: str) -> tuple[int, frozenset[tuple[int, ...]]] | None:
-    """Degree and raw spectrum of AGL1(p) or PGL2(p), p prime, spelt exactly so; else None.
+def _closed_form(name: str, degree: int) -> frozenset[tuple[int, ...]] | None:
+    """Raw spectrum of AGL1(p) or PGL2(p), p prime, spelt exactly so; else None.
 
     AGL_1(p) holds the translations, each one p-cycle, and x -> a(x - c) + c,
     which fixes c and cycles the rest in the order d | p-1 of a (d = 1 is the
     identity). In PGL_2(p) these fix infinity too; every other element lies in
     a non-split torus, cyclic and regular on the p+1 points, so it cycles all
     of them in one length d > 1, d | p+1.
+
+    p has at most 4 digits: each type is a tuple of up to p+1 parts, so the
+    spectrum stays under a megabyte. A longer name goes to the record lookup,
+    which refuses it at once, without a primality test.
     """
-    m = re.fullmatch(r"(AGL1|PGL2)\(([1-9][0-9]*)\)", name)
+    m = re.fullmatch(r"(AGL1|PGL2)\(([1-9][0-9]{0,3})\)", name)
     if m is None or not is_prime(p := int(m[2])):
         return None
+    if (size := p if m[1] == "AGL1" else p + 1) != degree:
+        raise CatalogError(f"{name} has degree {size}, not {degree}")
     if m[1] == "AGL1":
-        return p, frozenset({(p,)} | {(d,) * ((p - 1) // d) + (1,) for d in divisors(p - 1)})
+        return frozenset({(p,)} | {(d,) * ((p - 1) // d) + (1,) for d in divisors(p - 1)})
     split = {(d,) * ((p - 1) // d) + (1, 1) for d in divisors(p - 1)}
-    return p + 1, frozenset({(p, 1)} | split | {(d,) * ((p + 1) // d) for d in divisors(p + 1)[1:]})
+    return frozenset({(p, 1)} | split | {(d,) * ((p + 1) // d) for d in divisors(p + 1)[1:]})
 
 
-def _named_spectrum(d: NamedGroup) -> tuple[frozenset[tuple[int, ...]], bool]:
-    """The raw cycle types of d and whether they are all even.
+def _named_form(d: NamedGroup) -> tuple[frozenset[tuple[int, ...]] | None, bool]:
+    """d's closed-form raw spectrum, or None if it has a record, and whether d is all even.
 
     The one place that tells a closed form from a record: AGL1(p) and PGL2(p)
     have a single class and hold odd permutations.
     """
-    form = _closed_form(d.name)
-    if form is None:
-        grp = _class_one(d)
-        return _spectrum_parts(grp), grp.all_even()
-    degree, parts = form
-    if degree != d.degree:
-        raise CatalogError(f"{d.name} has degree {degree}, not {d.degree}")
+    parts = _closed_form(d.name, d.degree)
+    if parts is None:
+        return None, _class_one(d).all_even()
     if d.cls != 1:
         raise CatalogError(f"{d.name} does not have a class {d.cls}")
     return parts, False
@@ -392,9 +394,6 @@ def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
 
 @lru_cache(maxsize=64)
 def _spectrum_parts(grp: GeneratedGroup) -> frozenset[tuple[int, ...]]:
-    """Raw spectrum of grp; an all-even group's comes from its A_n classes, which A_n reads anyway."""
-    if grp.all_even():
-        return frozenset(parts for parts, _ in _alt_classes(grp, 1))
     return frozenset(t.parts for t in type_spectrum(grp))
 
 
@@ -411,7 +410,8 @@ def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     if isinstance(d, FullAlternating):
         return _is_even
     if isinstance(d, NamedGroup):
-        return _named_spectrum(d)[0].__contains__
+        parts = _named_form(d)[0]
+        return (_spectrum_parts(_class_one(d)) if parts is None else parts).__contains__
     raise TypeError(f"unknown descriptor {d!r}")
 
 
@@ -431,7 +431,7 @@ def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
     The membership command and _coverage_rule both decide intersections here.
     """
     inner = d.inner
-    if isinstance(inner, NamedGroup) and _named_spectrum(inner)[1]:
+    if isinstance(inner, NamedGroup) and _named_form(inner)[1]:
         raise ValueError(
             f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
         )
@@ -470,7 +470,7 @@ def _coverage_rule(
         # of the intersection contains odd permutations.
         return _intersect_alt_test(d)
     if isinstance(d, NamedGroup):
-        if not _named_spectrum(d)[1]:
+        if not _named_form(d)[1]:
             raise ValueError("group contains odd permutations; intersect with A_n first")
         return _alt_classes(_class_one(d), d.cls)
     raise ValueError(

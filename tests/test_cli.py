@@ -267,6 +267,20 @@ def test_closed_forms_served_above_the_old_data(capsys):
     assert code == 2 and out == "" and "no generator record named 'AGL1(07)'" in err, err
 
 
+def test_closed_form_name_with_a_huge_prime_is_refused_at_once():
+    # a p of more than 4 digits is never tested for primality, at any degree
+    p = "100000000000000000039"
+    for name, n in ((f"AGL1({p})", "5"), (f"PGL2({p})", "5"), (f"AGL1({p})", p)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "normcov.cli", "membership", n, f"named:{name}", f"[{n}]"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), name
+        assert proc.stderr == f"error: no generator record named {name!r}\n", proc.stderr
+
+
 def test_types_t_family(capsys):
     code, payload, _ = run_json(capsys, "types", "11", "t")
     assert code == 0

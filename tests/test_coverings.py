@@ -222,9 +222,12 @@ def _component_pool(g):
         if r["degree"] == n
         for c in range(1, r.get("classes", 1) + 1)
     ]
+    # the closed forms where they are proper: AGL1(3) and PGL2(3) are all of S_3 and S_4
+    closed = [NamedGroup(n, f"AGL1({n})")] if n >= 5 and is_prime(n) else []
+    closed += [NamedGroup(n, f"PGL2({n - 1})")] if n >= 6 and is_prime(n - 1) else []
     if g.kind is GroupKind.SYM:
-        return sym_level + named + [FullAlternating(n)]
-    pool = [ia(d) for d in sym_level]
+        return sym_level + named + closed + [FullAlternating(n)]
+    pool = [ia(d) for d in sym_level + closed]
     for d in named:
         pool.append(d if named_group(n, d.name, d.cls).all_even() else ia(d))
     return pool

@@ -5,6 +5,7 @@ import random
 from math import factorial, lcm
 
 import pytest
+from conftest import affine_gens, projective_gens
 
 from normcov.cycle_types import (
     ClassId,
@@ -17,7 +18,7 @@ from normcov.cycle_types import (
     parity,
     partitions,
 )
-from normcov.numtheory import divisors
+from normcov.numtheory import divisors, primes_up_to
 from normcov.permgroup import (
     ClosureCapExceeded,
     Perm,
@@ -143,13 +144,21 @@ def _bfs_elements(degree: int, gens) -> set[bytes]:
 
 
 def _record_gens():
-    """(name, degree, generators) for every class of every generator record."""
+    """(name, degree, generators) for every class of every generator record.
+
+    AGL1(p) and PGL2(p) have no record; their generators are built here, for
+    AGL1 at every prime 5 <= p <= 59 and for PGL2 at p = 5, 7, 11.
+    """
     for rec in json.loads((data_dir() / "generators.json").read_text()):
         n = rec["degree"]
         gens = [Perm.from_cycles(n, c) for c in rec["generators"]]
         yield rec["name"], n, gens
         if rec.get("classes", 1) == 2:
             yield rec["name"] + ":2", n, [conjugate(g, Perm.from_cycles(n, [[1, 2]])) for g in gens]
+    for p in primes_up_to(59)[2:]:
+        yield f"AGL1({p})", p, affine_gens(p)
+    for p in (5, 7, 11):
+        yield f"PGL2({p})", p + 1, projective_gens(p)
 
 
 def test_closure_matches_bfs():

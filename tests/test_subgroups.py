@@ -6,6 +6,7 @@ import shutil
 from math import factorial
 
 import pytest
+from conftest import affine_gens, projective_gens
 
 from normcov.cycle_types import (
     MAX_PARTITION_DEGREE,
@@ -38,7 +39,7 @@ from normcov.subgroups import (
     Intransitive,
     NamedGroup,
     _NAMED_CACHE,
-    _named_spectrum,
+    _named_form,
     catalog_to_json,
     class_coverage,
     contains_type,
@@ -235,24 +236,12 @@ def exhaustive_alt_cover(grp) -> frozenset[ClassId]:
     return frozenset(cover)
 
 
-def _affine_gens(p):
-    """x -> x+1 and x -> g*x on Z_p, g a primitive root; point i+1 is residue i."""
-    g = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
-    return [Perm([(x + 1) % p for x in range(p)]), Perm([x * g % p for x in range(p)])]
-
-
-def _projective_gens(p):
-    """The affine generators, fixing infinity (point p+1), and x -> 1/x."""
-    inv = Perm([p if x == 0 else 0 if x == p else pow(x, p - 2, p) for x in range(p + 1)])
-    return [Perm(a.images + (p,)) for a in _affine_gens(p)] + [inv]
-
-
 def _named_closure(n, name, cls=1):
-    """A named group closed here: AGL1 and PGL2 from the generators above, others from their record."""
+    """A named group closed here: AGL1 and PGL2 from the generators in conftest, others from their record."""
     if name == f"AGL1({n})":
-        return closure(n, _affine_gens(n))
+        return closure(n, affine_gens(n))
     if name == f"PGL2({n - 1})":
-        return closure(n, _projective_gens(n - 1))
+        return closure(n, projective_gens(n - 1))
     return named_group(n, name, cls)
 
 
@@ -344,7 +333,7 @@ def _check_closed_form(name, grp, order):
     """The served spectrum of name equals that of grp, closed here, whose order is checked."""
     assert grp.order == order, name
     d, types = NamedGroup(grp.degree, name), type_spectrum(grp)
-    spectrum, all_even = _named_spectrum(d)
+    spectrum, all_even = _named_form(d)
     assert spectrum == frozenset(t.parts for t in types), name
     assert all_even is grp.all_even() is False, name
     if grp.degree <= 24:
@@ -355,12 +344,12 @@ def _check_closed_form(name, grp, order):
 def test_affine_group_at_every_prime_degree():
     # sym_prime and upper_alt_odd need AGL_1(p) at every prime degree they reach
     for p in primes_up_to(MAX_PARTITION_DEGREE):
-        _check_closed_form(f"AGL1({p})", closure(p, _affine_gens(p)), p * (p - 1))
+        _check_closed_form(f"AGL1({p})", closure(p, affine_gens(p)), p * (p - 1))
 
 
 def test_projective_group_at_every_prime_degree():
     for p in primes_up_to(23):
-        _check_closed_form(f"PGL2({p})", closure(p + 1, _projective_gens(p)), p**3 - p)
+        _check_closed_form(f"PGL2({p})", closure(p + 1, projective_gens(p)), p**3 - p)
 
 
 def test_named_group_errors():
@@ -380,6 +369,15 @@ def test_named_group_errors():
     for name in ("AGL1(9)", "AGL1(07)", "agl1(7)", "AGL1(7) ", "PGL2(+7)"):
         with pytest.raises(CatalogError, match="no generator record"):
             contains_type(NamedGroup(7, name), ct(7))
+    # p has at most 4 digits; a longer name is no closed form
+    with pytest.raises(CatalogError, match=re.escape("AGL1(61) has degree 61, not 12")):
+        contains_type(NamedGroup(12, "AGL1(61)"), ct(12))
+    for name, degree in (("AGL1(10007)", 10007), ("PGL2(10007)", 10008)):
+        with pytest.raises(CatalogError, match=re.escape(f"no generator record named {name!r}")):
+            contains_type(NamedGroup(degree, name), ct(10007, *[1] * (degree - 10007)))
+    assert contains_type(NamedGroup(9973, "AGL1(9973)"), ct(9973))
+    assert contains_type(NamedGroup(9974, "PGL2(9973)"), ct(9973, 1))
+    assert contains_type(NamedGroup(62, "PGL2(61)"), ct(61, 1))
 
 
 def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
