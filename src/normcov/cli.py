@@ -268,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             result = cmd_catalog(args.n, args.group)
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, CatalogError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, CatalogError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return Status.ERROR.value
     try:

@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 from inspect import signature
 from operator import or_
 
-from .cycle_types import ClassId, CycleType, GroupId, GroupKind
+from .cycle_types import ClassId, CycleType, GroupId, GroupKind, _check_degree
 from .numtheory import euler_phi, factorize, is_prime
 from .subgroups import (
     Catalog,
@@ -173,6 +173,7 @@ def _wrap_all(comps: list[SubgroupDescriptor]) -> list[SubgroupDescriptor]:
 
 def _delta_upper_sym(n: int, big_blocks: bool = False) -> BasicSet:
     _require(n >= 4 and not is_prime(n), f"n must be composite and >= 4, got {n}")
+    _check_degree(n)
     p = factorize(n)[0][0]
     wreath = Imprimitive(n, n // p, p) if big_blocks else Imprimitive(n, p, n // p)
     comps: list[SubgroupDescriptor] = [wreath]
@@ -202,6 +203,7 @@ def _delta_upper_alt_even(n: int, big_blocks: bool = False) -> BasicSet:
 
 def _delta_upper_alt_odd(n: int) -> BasicSet:
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
+    _check_degree(n)
     if is_prime(n):
         k_top: SubgroupDescriptor = NamedGroup(n, f"AGL1({n})")
     else:
@@ -219,6 +221,7 @@ def _delta_upper_alt_odd(n: int) -> BasicSet:
 
 def _delta_sym_prime(p: int) -> BasicSet:
     _require(is_prime(p) and p >= 5, f"p must be a prime >= 5, got {p}")
+    _check_degree(p)
     comps: list[SubgroupDescriptor] = [NamedGroup(p, f"AGL1({p})")]
     comps += [Intransitive(p, k) for k in range(2, (p - 1) // 2 + 1)]
     return BasicSet(
@@ -233,6 +236,7 @@ def _delta_prime_power(p: int, alpha: int, group: str | GroupKind = "sym") -> Ba
     _require(is_prime(p), f"p must be prime, got {p}")
     _require(alpha >= 2, f"alpha must be >= 2, got {alpha}")
     n = p**alpha
+    _check_degree(n)
     comps: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p)]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p,))]
     kind = _kind(group)
@@ -250,6 +254,7 @@ def _delta_prime_power(p: int, alpha: int, group: str | GroupKind = "sym") -> Ba
 def _delta_two_primes(p: int, q: int, group: str | GroupKind = "sym", big_blocks: bool = False) -> BasicSet:
     _require(is_prime(p) and is_prime(q) and p < q, f"need primes p < q, got p={p}, q={q}")
     n = p * q
+    _check_degree(n)
     wreath = Imprimitive(n, q, p) if big_blocks else Imprimitive(n, p, q)
     comps: list[SubgroupDescriptor] = [wreath]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p, q))]
@@ -271,6 +276,7 @@ def _delta_two_prime_powers(
     _require(alpha >= 1 and beta >= 1, "exponents must be positive")
     _require(alpha + beta >= 3, f"need alpha + beta >= 3, got {alpha + beta}")
     n = p**alpha * q**beta
+    _check_degree(n)
     comps: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p), Imprimitive(n, q, n // q)]
     comps += [Intransitive(n, k) for k in _coprime_ks(n, (p, q))]
     kind = _kind(group)

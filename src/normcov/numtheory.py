@@ -36,36 +36,72 @@ def _check_positive(n: int) -> None:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n by trial division, as (prime, exponent) pairs."""
+    """Prime factorization of n, as (prime, exponent) pairs.
+
+    Trial division; once it passes 1000, a prime cofactor ends it at once.
+    A cofactor with two prime factors above 1000 is still divided out by trial.
+    """
     _check_positive(n)
-    out: list[tuple[int, int]] = []
-    m = n
-    p = 2
+    twos = (n & -n).bit_length() - 1
+    out: list[tuple[int, int]] = [(2, twos)] if twos else []
+    m = n >> twos
+    p = 3
     while p * p <= m:
+        if p == 1001 and is_prime(m):
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out.append((p, e))
-        p += 1 if p == 2 else 2
+        p += 2
     if m > 1:
         out.append((m, 1))
     return out
 
 
+# Miller-Rabin with the 13 prime bases up to 41 is exact below this bound
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017): it is the least strong
+# pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: trial division by factors up to 1000, then deterministic Miller-Rabin.
+
+    Every n below 10**6 is decided by trial division alone. Raises ValueError
+    for an n of at least 3.317e24 with no factor up to 1000: the bases are
+    proven only below that.
+    """
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
-    f = 3
-    while f * f <= n:
+    f, top = 3, n if n < 10**6 else 10**6
+    while f * f <= top:
         if n % f == 0:
             return False
         f += 2
+    if top == n:
+        return True
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} has no prime factor up to 1000 and is too large for an exact primality test")
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -3,7 +3,9 @@
 Enumeration is the canonical representation here: every group this package
 materializes has order at most 10**6. Dimino's closure lists byte-encoded
 elements coset by coset; spectra and A_n classes are read off a slice of them
-that holds a conjugate of every element (see _stabiliser_slice).
+that holds a conjugate of every element (see _stabiliser_slice). The raw
+readers _raw_spectrum and _raw_alt_classes give plain tuples and are not
+cached; type_spectrum and alt_class_coverage wrap them in dataclasses.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .cycle_types import ClassId, CycleType, Parity, SplitTag, is_split
+from .cycle_types import ClassId, CycleType, Parity, SplitTag, _splits, is_split
 
 __all__ = [
     "DEFAULT_CLOSURE_CAP",
@@ -173,8 +175,7 @@ def cycle_type_of(a: Perm) -> CycleType:
 
 
 def perm_parity(a: Perm) -> Parity:
-    lens = _cycle_lengths(a.images)
-    return Parity.EVEN if (a.degree - len(lens)) % 2 == 0 else Parity.ODD
+    return Parity.ODD if _parity_of_images(a.images) else Parity.EVEN
 
 
 def _parity_of_images(images: Sequence[int]) -> int:
@@ -185,13 +186,12 @@ def _parity_of_images(images: Sequence[int]) -> int:
 class GeneratedGroup:
     """A fully materialized permutation group with deterministic element order."""
 
-    __slots__ = ("degree", "generators", "_elements", "_spectrum")
+    __slots__ = ("degree", "generators", "_elements")
 
     def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[bytes, ...]):
         self.degree = degree
         self.generators = generators
         self._elements = elements
-        self._spectrum: frozenset[CycleType] | None = None
 
     @property
     def order(self) -> int:
@@ -249,7 +249,7 @@ def closure(degree: int, gens: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -
     return GeneratedGroup(degree, tuple(gens), tuple(order))
 
 
-def _stabiliser_slice(g: GeneratedGroup) -> list[bytes]:
+def _stabiliser_slice(g: GeneratedGroup) -> Iterator[bytes]:
     """The elements e with e(0) least in its orbit under G_0, the stabiliser of 0.
 
     Conjugating x by h in G_0 sends x(0) to h(x(0)), so every element is
@@ -262,14 +262,17 @@ def _stabiliser_slice(g: GeneratedGroup) -> list[bytes]:
         if p not in placed:
             least[p] = 1
             placed.update(map(itemgetter(p), stab))
-    return [e for e in g._elements if least[e[0]]]
+    return (e for e in g._elements if least[e[0]])
+
+
+def _raw_spectrum(g: GeneratedGroup) -> frozenset[tuple[int, ...]]:
+    """The descending cycle lengths of every element of g."""
+    return frozenset(map(_cycle_lengths, _stabiliser_slice(g)))
 
 
 def type_spectrum(g: GeneratedGroup) -> frozenset[CycleType]:
     """The set of cycle types realized by elements of the group."""
-    if g._spectrum is None:
-        g._spectrum = frozenset(map(CycleType, set(map(_cycle_lengths, _stabiliser_slice(g)))))
-    return g._spectrum
+    return frozenset(map(CycleType, _raw_spectrum(g)))
 
 
 def canonical_split_rep(t: CycleType) -> Perm:
@@ -286,27 +289,12 @@ def canonical_split_rep(t: CycleType) -> Perm:
     return Perm(images)
 
 
-def _split_tag_of_images(images: Sequence[int], parts: tuple[int, ...]) -> SplitTag:
+def _split_tag_of_images(images: Sequence[int]) -> SplitTag:
     # Align the canonical representative's cycles with this element's cycles;
     # the aligning permutation's parity is well defined because all parts are
     # distinct and odd, so the centralizer is even.
-    n = len(images)
-    seen = bytearray(n)
-    cycles: list[list[int]] = []
-    for i in range(n):
-        if not seen[i]:
-            seen[i] = 1
-            cyc = [i]
-            j = images[i]
-            while j != i:
-                seen[j] = 1
-                cyc.append(j)
-                j = images[j]
-            cycles.append(cyc)
-    cycles.sort(key=len, reverse=True)
-    target: list[int] = []
-    for cyc in cycles:
-        target.extend(cyc)
+    cycles = sorted(cycles_of(Perm(images)), key=len, reverse=True)
+    target = [p for cyc in cycles for p in cyc]
     return SplitTag.PLUS if _parity_of_images(target) == 0 else SplitTag.MINUS
 
 
@@ -319,7 +307,28 @@ def split_class_of(x: Perm) -> ClassId:
     t = cycle_type_of(x)
     if not is_split(t):
         raise ValueError(f"type {t} does not split")
-    return ClassId(t, _split_tag_of_images(x.images, t.parts))
+    return ClassId(t, _split_tag_of_images(x.images))
+
+
+def _raw_alt_classes(
+    g: GeneratedGroup, types: frozenset[tuple[int, ...]]
+) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
+    """The A_n classes met by the all-even g, whose raw spectrum is types, as (parts, split tag).
+
+    A type that does not split is one class. The split types are looked up
+    in the stabiliser slice, which is left once each has shown both tags.
+    """
+    open_types = {t for t in types if _splits(t)}
+    classes = {(t, SplitTag.NOT_SPLIT) for t in types - open_types}
+    for eb in _stabiliser_slice(g) if open_types else ():
+        lens = _cycle_lengths(eb)
+        if lens in open_types:
+            classes.add((lens, _split_tag_of_images(eb)))
+            if (lens, SplitTag.PLUS) in classes and (lens, SplitTag.MINUS) in classes:
+                open_types.remove(lens)
+                if not open_types:
+                    break
+    return frozenset(classes)
 
 
 def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
@@ -330,23 +339,7 @@ def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
     """
     if not g.all_even():
         raise ValueError("group contains odd permutations; intersect with A_n first")
-    cover: set[ClassId] = set()
-    done_nonsplit: set[tuple[int, ...]] = set()
-    split_done: set[tuple[int, ...]] = set()
-    for eb in _stabiliser_slice(g):
-        lens = _cycle_lengths(eb)
-        if len(set(lens)) == len(lens) and all(p % 2 == 1 for p in lens):
-            if lens in split_done:
-                continue
-            tag = _split_tag_of_images(eb, lens)
-            cover.add(ClassId(CycleType(lens), tag))
-            other = SplitTag.MINUS if tag is SplitTag.PLUS else SplitTag.PLUS
-            if ClassId(CycleType(lens), other) in cover:
-                split_done.add(lens)
-        elif lens not in done_nonsplit:
-            done_nonsplit.add(lens)
-            cover.add(ClassId(CycleType(lens)))
-    return frozenset(cover)
+    return frozenset(ClassId(CycleType(parts), tag) for parts, tag in _raw_alt_classes(g, _raw_spectrum(g)))
 
 
 def sym_gens(n: int) -> list[Perm]:

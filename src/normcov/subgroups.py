@@ -6,6 +6,13 @@ families, by parity for the alternating group, and by the exact type spectrum
 for named groups. AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take
 their spectrum from a closed form (_closed_form); every other named group is
 closed from its generator record in generators.json.
+
+A named descriptor reaches the walk through two cached resolvers of raw
+tuples, keyed on the descriptor and the data directory: _named_types gives
+its spectrum and whether it is all even, and _named_alt_classes its A_n
+classes. Only an A_n query computes split tags. The caches are lru_caches,
+which keep their own state consistent under threads; a race at worst closes
+a group twice.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -22,7 +28,7 @@ from typing import Callable, Union
 
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
 from .numtheory import divisors, is_prime
-from .permgroup import GeneratedGroup, Perm, alt_class_coverage, closure, conjugate, type_spectrum
+from .permgroup import GeneratedGroup, Perm, _raw_alt_classes, _raw_spectrum, closure, conjugate
 
 __all__ = [
     "Catalog",
@@ -217,9 +223,7 @@ def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
 
 # --- named group registry -------------------------------------------------
 
-_NAMED_LOCK = threading.Lock()
-_NAMED_CACHE: dict[tuple[str, str, int], GeneratedGroup] = {}
-# Resolved once: every named_group call reads it, and resolving costs ~0.1 ms.
+# Resolved once: every data_dir() call reads it, and resolving costs ~0.1 ms.
 _PACKAGE_DATA = Path(resources.files("normcov") / "data")
 
 
@@ -230,8 +234,8 @@ def data_dir() -> Path:
 
 
 @lru_cache(maxsize=8)
-def _generator_records(path_str: str) -> dict[str, dict]:
-    path = Path(path_str)
+def _generator_records(data: str) -> dict[str, dict]:
+    path = Path(data) / "generators.json"
     if not path.exists():
         raise CatalogError(f"generator data file not found: {path}")
     try:
@@ -242,12 +246,12 @@ def _generator_records(path_str: str) -> dict[str, dict]:
 
 
 def named_group_names() -> list[str]:
-    return sorted(_generator_records(str(data_dir() / "generators.json")))
+    return sorted(_generator_records(str(data_dir())))
 
 
-def _record(degree: int, name: str, cls: int) -> dict:
+def _record(data: str, degree: int, name: str, cls: int) -> dict:
     """The generator record behind class cls of name; CatalogError if there is none."""
-    rec = _generator_records(str(data_dir() / "generators.json")).get(name)
+    rec = _generator_records(data).get(name)
     if rec is None:
         raise CatalogError(f"no generator record named {name!r}")
     if rec["degree"] != degree:
@@ -264,15 +268,12 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
     (1 2), giving the second conjugacy class where one exists. Intransitive
     generators are refused, and so are AGL1(p) and PGL2(p): they have no record.
     """
-    key = (str(data_dir()), name, cls)
-    with _NAMED_LOCK:
-        cached = _NAMED_CACHE.get(key)
-    if cached is not None:
-        if cached.degree != degree:
-            raise CatalogError(f"{name} has degree {cached.degree}, not {degree}")
-        return cached
+    return _record_group(str(data_dir()), degree, name, cls)
 
-    rec = _record(degree, name, cls)
+
+@lru_cache(maxsize=32)
+def _record_group(data: str, degree: int, name: str, cls: int) -> GeneratedGroup:
+    rec = _record(data, degree, name, cls)
     gens = [Perm.from_cycles(degree, cycles) for cycles in rec["generators"]]
     orbit, todo = {0}, [0]
     for p in todo:
@@ -289,19 +290,9 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
         raise CatalogError(
             f"{name}: closure produced order {grp.order}, expected {rec['expected_order']}"
         )
-    with _NAMED_LOCK:
-        _NAMED_CACHE[key] = grp
     return grp
 
 
-def _class_one(d: NamedGroup) -> GeneratedGroup:
-    """Class 1 of d's record; class 2, its conjugate by (1 2), has the same types and parity."""
-    if d.cls != 1:
-        _record(d.degree, d.name, d.cls)
-    return named_group(d.degree, d.name)
-
-
-@lru_cache(maxsize=64)
 def _closed_form(name: str, degree: int) -> frozenset[tuple[int, ...]] | None:
     """Raw spectrum of AGL1(p) or PGL2(p), p prime, spelt exactly so; else None.
 
@@ -326,18 +317,37 @@ def _closed_form(name: str, degree: int) -> frozenset[tuple[int, ...]] | None:
     return frozenset({(p, 1)} | split | {(d,) * ((p + 1) // d) for d in divisors(p + 1)[1:]})
 
 
-def _named_form(d: NamedGroup) -> tuple[frozenset[tuple[int, ...]] | None, bool]:
-    """d's closed-form raw spectrum, or None if it has a record, and whether d is all even.
+@lru_cache(maxsize=64)
+def _named_types(d: NamedGroup, data: str) -> tuple[frozenset[tuple[int, ...]], bool]:
+    """d's raw spectrum and whether d is all even; data is str(data_dir()).
 
     The one place that tells a closed form from a record: AGL1(p) and PGL2(p)
-    have a single class and hold odd permutations.
+    have a single class and hold odd permutations. Class 2 of a record, its
+    conjugate by (1 2), has the types and parity of class 1, so it reads them.
     """
-    parts = _closed_form(d.name, d.degree)
-    if parts is None:
-        return None, _class_one(d).all_even()
+    types = _closed_form(d.name, d.degree)
+    if types is not None:
+        if d.cls != 1:
+            raise CatalogError(f"{d.name} does not have a class {d.cls}")
+        return types, False
     if d.cls != 1:
-        raise CatalogError(f"{d.name} does not have a class {d.cls}")
-    return parts, False
+        _record(data, d.degree, d.name, d.cls)
+        return _named_types(NamedGroup(d.degree, d.name), data)
+    grp = _record_group(data, d.degree, d.name, 1)
+    return _raw_spectrum(grp), grp.all_even()
+
+
+@lru_cache(maxsize=64)
+def _named_alt_classes(d: NamedGroup, data: str) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
+    """The raw (parts, split tag) A_n classes of d, a record that _named_types found all even.
+
+    Class 2 is class 1 with each + and - swapped, so it is never closed.
+    """
+    if d.cls == 2:
+        swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
+        one = _named_alt_classes(NamedGroup(d.degree, d.name), data)
+        return frozenset((parts, swap.get(tag, tag)) for parts, tag in one)
+    return _raw_alt_classes(_record_group(data, d.degree, d.name, 1), _named_types(d, data)[0])
 
 
 # --- membership semantics ---------------------------------------------------
@@ -392,11 +402,6 @@ def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=64)
-def _spectrum_parts(grp: GeneratedGroup) -> frozenset[tuple[int, ...]]:
-    return frozenset(t.parts for t in type_spectrum(grp))
-
-
 def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     """Membership of a raw descending cycle type in the S_n-level class d.
 
@@ -410,8 +415,7 @@ def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
     if isinstance(d, FullAlternating):
         return _is_even
     if isinstance(d, NamedGroup):
-        parts = _named_form(d)[0]
-        return (_spectrum_parts(_class_one(d)) if parts is None else parts).__contains__
+        return _named_types(d, str(data_dir()))[0].__contains__
     raise TypeError(f"unknown descriptor {d!r}")
 
 
@@ -431,20 +435,11 @@ def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
     The membership command and _coverage_rule both decide intersections here.
     """
     inner = d.inner
-    if isinstance(inner, NamedGroup) and _named_form(inner)[1]:
+    if isinstance(inner, NamedGroup) and _named_types(inner, str(data_dir()))[1]:
         raise ValueError(
             f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
         )
     return _member_test(inner)
-
-
-@lru_cache(maxsize=64)
-def _alt_classes(grp: GeneratedGroup, cls: int) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
-    """The A_n classes of class cls of grp's record; class 2 swaps the split pairs of class 1, grp."""
-    if cls == 2:
-        swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
-        return frozenset((parts, swap.get(tag, tag)) for parts, tag in _alt_classes(grp, 1))
-    return frozenset((c.ctype.parts, c.split_tag) for c in alt_class_coverage(grp))
 
 
 def _coverage_rule(
@@ -470,9 +465,10 @@ def _coverage_rule(
         # of the intersection contains odd permutations.
         return _intersect_alt_test(d)
     if isinstance(d, NamedGroup):
-        if not _named_form(d)[1]:
+        data = str(data_dir())
+        if not _named_types(d, data)[1]:
             raise ValueError("group contains odd permutations; intersect with A_n first")
-        return _alt_classes(_class_one(d), d.cls)
+        return _named_alt_classes(d, data)
     raise ValueError(
         f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
     )

@@ -131,6 +131,13 @@ def test_verify_malformed_file(capsys, tmp_path, doc):
         (["--family", "prime_power", "--p", "2", "--alpha", "6"], "1..60"),
         (["--family", "two_primes", "--p", "3", "--q", "23"], "1..60"),
         (["--family", "upper_sym", "--n", "62"], "1..60"),
+        # huge degrees are refused before a builder makes O(n) components
+        (["--family", "upper_sym", "--n", "100000000"], "degree 100000000 outside enumeration bound 1..60"),
+        (["--family", "prime_power", "--p", "2", "--alpha", "100"], f"degree {2**100} outside"),
+        (["--family", "sym_prime", "--p", "100000000000000000039"], "degree 100000000000000000039 outside"),
+        (["--family", "upper_alt_odd", "--n", "10000001"], "degree 10000001 outside enumeration bound 1..60"),
+        # the builder's own hypotheses are still checked first
+        (["--family", "upper_sym", "--n", "61"], "must be composite"),
     ],
 )
 def test_verify_bad_family_parameters(capsys, argv, word):
@@ -251,6 +258,10 @@ def test_membership_errors(capsys):
     for text in ("what:3", "imprimitive:3", "imprimitive:3,4,5", "intransitive:x"):
         code, out, err = run(capsys, "membership", "12", text, "[12]")
         assert (code, out, err) == (2, "", f"error: cannot parse descriptor '{text}'\n"), text
+    # a bit mask as wide as a huge degree overflows
+    n = "100000000000000000038"
+    code, out, err = run(capsys, "membership", n, "intransitive:1", f"[{n}]")
+    assert code == 2 and out == "" and err.startswith("error: "), err
 
 
 def test_closed_forms_served_above_the_old_data(capsys):
@@ -265,6 +276,18 @@ def test_closed_forms_served_above_the_old_data(capsys):
     # only the canonical spelling is a closed form
     code, out, err = run(capsys, "membership", "7", "named:AGL1(07)", "[7]")
     assert code == 2 and out == "" and "no generator record named 'AGL1(07)'" in err, err
+
+
+def test_bounds_at_a_huge_prime_degree():
+    # primality of a 21-digit degree is decided by Miller-Rabin, not trial division
+    proc = subprocess.run(
+        [sys.executable, "-m", "normcov.cli", "bounds", "100000000000000000039", "sym"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert "exact:       50000000000000000019" in proc.stdout
 
 
 def test_closed_form_name_with_a_huge_prime_is_refused_at_once():

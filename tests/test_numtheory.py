@@ -87,6 +87,43 @@ def test_domain_errors():
             fn(0)
 
 
+# --- primality -----------------------------------------------------------------
+
+
+def sieve_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), by a plain sieve of Eratosthenes."""
+    flags = bytearray([1]) * hi
+    flags[:2] = b"\x00\x00"
+    for p in range(2, isqrt(hi - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, hi, p)))
+    return [n for n in range(lo, hi) if flags[n]]
+
+
+def test_is_prime_matches_a_sieve():
+    assert [n for n in range(10**5) if is_prime(n)] == sieve_primes(0, 10**5)
+    # from 10**6 on, a number with no factor up to 1000 goes to Miller-Rabin
+    lo = 10**6 - 10**4
+    assert [n for n in range(lo, lo + 2 * 10**4) if is_prime(n)] == sieve_primes(lo, lo + 2 * 10**4)
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7, and to every prime base up to 23
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(10**20 + 39)
+    # the least strong pseudoprime to all 13 bases up to 41 is refused, not guessed
+    psi13 = 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="too large for an exact primality test"):
+        is_prime(psi13)
+    assert not is_prime(3 * psi13)  # a factor up to 1000 still decides
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    assert factorize(2**5 * 3 * (10**20 + 39)) == [(2, 5), (3, 1), (10**20 + 39, 1)]
+    assert factorize(1009 * 1013) == [(1009, 1), (1013, 1)]
+    assert factorize(997 * 1009**2) == [(997, 1), (1009, 2)]
+
+
 def test_squarefree_divisor_count():
     for n in range(1, 500):
         sf = squarefree_divisors(n)

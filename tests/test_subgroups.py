@@ -3,6 +3,8 @@
 import json
 import re
 import shutil
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 
 import pytest
@@ -38,8 +40,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
-    _NAMED_CACHE,
-    _named_form,
+    _named_types,
     catalog_to_json,
     class_coverage,
     contains_type,
@@ -329,11 +330,26 @@ def test_all_generator_records_materialize():
         assert grp.order == entry["expected_order"], entry["name"]
 
 
+def test_generator_records_rechecked_by_schreier_sims():
+    # sympy's Schreier-Sims, not normcov's closure: each record and its conjugate by (1 2)
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+    records = json.loads((data_dir() / "generators.json").read_text())
+    assert len(records) == 7
+    for rec in records:
+        n = rec["degree"]
+        gens = [Permutation([[p - 1 for p in cyc] for cyc in cycles], size=n) for cycles in rec["generators"]]
+        swap = Permutation([[0, 1]], size=n)
+        for grp in (PermutationGroup(gens), PermutationGroup([swap * g * swap for g in gens])):
+            assert grp.order() == rec["expected_order"], rec["name"]
+            assert grp.is_primitive(), rec["name"]
+
+
 def _check_closed_form(name, grp, order):
     """The served spectrum of name equals that of grp, closed here, whose order is checked."""
     assert grp.order == order, name
     d, types = NamedGroup(grp.degree, name), type_spectrum(grp)
-    spectrum, all_even = _named_form(d)
+    spectrum, all_even = _named_types(d, str(data_dir()))
     assert spectrum == frozenset(t.parts for t in types), name
     assert all_even is grp.all_even() is False, name
     if grp.degree <= 24:
@@ -397,18 +413,58 @@ def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
 
 
 def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
-    # a fresh data directory gives fresh cache keys: only class 1 may be closed
+    # a fresh data directory gives fresh cache keys: only class-1 generators may be closed
     shutil.copytree(data_dir(), tmp_path / "data")
     monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    closed = []
+
+    def spy(degree, gens, *args):
+        closed.append((degree, [g.images for g in gens]))
+        return closure(degree, gens, *args)
+
+    monkeypatch.setattr("normcov.subgroups.closure", spy)
     d = NamedGroup(9, "PGammaL2(8)", 2)
     assert class_coverage(d, GroupId.alt(9)) == alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
         ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
     }
     assert contains_type(d, ct(9)) and contains_type(NamedGroup(8, "AGL3(2)", 2), ct(7, 1))
-    assert sorted(key[1:] for key in _NAMED_CACHE if key[0] == str(tmp_path / "data")) == [
-        ("AGL3(2)", 1),
-        ("PGammaL2(8)", 1),
+    records = {r["name"]: r for r in json.loads((data_dir() / "generators.json").read_text())}
+    assert closed == [
+        (n, [Perm.from_cycles(n, cycles).images for cycles in records[name]["generators"]])
+        for name, n in (("PGammaL2(8)", 9), ("AGL3(2)", 8))
     ]
+
+
+def _answers(name, n):
+    """Coverage of both classes of name, bare and intersected with A_n, in S_n and A_n; errors by message."""
+    out = []
+    for cls in (1, 2):
+        for d in (NamedGroup(n, name, cls), IntersectAlt(NamedGroup(n, name, cls))):
+            for g in (GroupId.sym(n), GroupId.alt(n)):
+                try:
+                    out.append(class_coverage(d, g))
+                except ValueError as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_named_resolvers_answer_the_same_from_threads(tmp_path, monkeypatch):
+    # the caches hold no lock: concurrent first calls may each close a group, never disagree
+    groups = (("M11", 11), ("PGammaL2(8)", 9))
+    want = [_answers(name, n) for name, n in groups]
+    shutil.copytree(data_dir(), tmp_path / "data")
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            # half the threads start on each group, so both race on two first closures
+            futures = [pool.submit(lambda i=i: [_answers(*groups[(i + j) % 2]) for j in (0, 1)]) for i in range(4)]
+            got = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, answers in enumerate(got):
+        assert answers == [want[(i + j) % 2] for j in (0, 1)], i
 
 
 def test_named_second_class_is_conjugate():
