@@ -3,15 +3,14 @@
 A basic set is a list of pairwise non-conjugate proper subgroup classes whose
 conjugates, together, meet every conjugacy class of the group. Verification is
 exact over the class universe; the minimum size over a complete catalog is
-found by one lexicographic search over the catalog's coverage rows.
+found by one lexicographic search over rows of minimal class signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from inspect import signature
-from operator import or_
 
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, _check_degree
 from .numtheory import euler_phi, factorize, is_prime
@@ -24,7 +23,7 @@ from .subgroups import (
     Intransitive,
     NamedGroup,
     SubgroupDescriptor,
-    _json_int,
+    _json_field,
     _signatures,
     descriptor_from_json,
     descriptor_sort_key,
@@ -88,7 +87,7 @@ class BasicSet:
             group=group,
             components=comps,
             provenance=str(obj.get("provenance", "")),
-            expected_size=_json_int(obj, "expected_size") if "expected_size" in obj else None,
+            expected_size=_json_field(obj, "expected_size") if "expected_size" in obj else None,
         )
 
 
@@ -163,12 +162,12 @@ def _kind(group: str | GroupKind) -> GroupKind:
     raise ValueError(f"unknown group kind {group!r}")
 
 
-def _coprime_ks(n: int, ps: tuple[int, ...]) -> list[int]:
-    return [k for k in range(1, (n + 1) // 2) if 2 * k < n and all(k % p for p in ps)]
-
-
-def _wrap_all(comps: list[SubgroupDescriptor]) -> list[SubgroupDescriptor]:
-    return [IntersectAlt(d) for d in comps]
+def _coprime_family(kind: GroupKind, n: int, tops: list, primes: tuple, provenance: str, size: int) -> BasicSet:
+    """The tops, then S_k x S_{n-k} for each k < n/2 prime to all the primes; each met with A_n for A_n."""
+    comps = tops + [Intransitive(n, k) for k in range(1, (n + 1) // 2) if all(k % p for p in primes)]
+    if kind is GroupKind.ALT:
+        comps = [IntersectAlt(d) for d in comps]
+    return BasicSet(GroupId(kind, n), tuple(comps), provenance, size)
 
 
 def _delta_upper_sym(n: int, big_blocks: bool = False) -> BasicSet:
@@ -176,29 +175,17 @@ def _delta_upper_sym(n: int, big_blocks: bool = False) -> BasicSet:
     _check_degree(n)
     p = factorize(n)[0][0]
     wreath = Imprimitive(n, n // p, p) if big_blocks else Imprimitive(n, p, n // p)
-    comps: list[SubgroupDescriptor] = [wreath]
-    comps += [Intransitive(n, k) for k in _coprime_ks(n, (p,))]
-    if n % 2 == 0:
-        size = (n + 4) // 4
-    else:
-        size = 1 + n * (p - 1) // (2 * p)
-    return BasicSet(
-        group=GroupId.sym(n),
-        components=tuple(comps),
-        provenance=f"upper_sym(n={n}, p={p}{', big blocks' if big_blocks else ''})",
-        expected_size=size,
-    )
+    size = 1 + n * (p - 1) // (2 * p)
+    blocks = ", big blocks" if big_blocks else ""
+    return _coprime_family(GroupKind.SYM, n, [wreath], (p,), f"upper_sym(n={n}, p={p}{blocks})", size)
 
 
 def _delta_upper_alt_even(n: int, big_blocks: bool = False) -> BasicSet:
     _require(n >= 4 and n % 2 == 0, f"n must be even and >= 4, got {n}")
-    sym = _delta_upper_sym(n, big_blocks=big_blocks)
-    return BasicSet(
-        group=GroupId.alt(n),
-        components=tuple(_wrap_all(list(sym.components))),
-        provenance=f"upper_alt_even(n={n}{', big blocks' if big_blocks else ''})",
-        expected_size=sym.expected_size,
-    )
+    _check_degree(n)
+    wreath = Imprimitive(n, n // 2, 2) if big_blocks else Imprimitive(n, 2, n // 2)
+    blocks = ", big blocks" if big_blocks else ""
+    return _coprime_family(GroupKind.ALT, n, [wreath], (2,), f"upper_alt_even(n={n}{blocks})", (n + 4) // 4)
 
 
 def _delta_upper_alt_odd(n: int) -> BasicSet:
@@ -237,18 +224,9 @@ def _delta_prime_power(p: int, alpha: int, group: str | GroupKind = "sym") -> Ba
     _require(alpha >= 2, f"alpha must be >= 2, got {alpha}")
     n = p**alpha
     _check_degree(n)
-    comps: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p)]
-    comps += [Intransitive(n, k) for k in _coprime_ks(n, (p,))]
     kind = _kind(group)
-    size = euler_phi(n) // 2 + 1
-    if kind is GroupKind.ALT:
-        comps = _wrap_all(comps)
-    return BasicSet(
-        group=GroupId(kind, n),
-        components=tuple(comps),
-        provenance=f"prime_power(p={p}, alpha={alpha}, {kind.name.lower()})",
-        expected_size=size,
-    )
+    provenance = f"prime_power(p={p}, alpha={alpha}, {kind.name.lower()})"
+    return _coprime_family(kind, n, [Imprimitive(n, p, n // p)], (p,), provenance, euler_phi(n) // 2 + 1)
 
 
 def _delta_two_primes(p: int, q: int, group: str | GroupKind = "sym", big_blocks: bool = False) -> BasicSet:
@@ -256,17 +234,9 @@ def _delta_two_primes(p: int, q: int, group: str | GroupKind = "sym", big_blocks
     n = p * q
     _check_degree(n)
     wreath = Imprimitive(n, q, p) if big_blocks else Imprimitive(n, p, q)
-    comps: list[SubgroupDescriptor] = [wreath]
-    comps += [Intransitive(n, k) for k in _coprime_ks(n, (p, q))]
     kind = _kind(group)
-    if kind is GroupKind.ALT:
-        comps = _wrap_all(comps)
-    return BasicSet(
-        group=GroupId(kind, n),
-        components=tuple(comps),
-        provenance=f"two_primes(p={p}, q={q}, {kind.name.lower()})",
-        expected_size=euler_phi(n) // 2 + 1,
-    )
+    provenance = f"two_primes(p={p}, q={q}, {kind.name.lower()})"
+    return _coprime_family(kind, n, [wreath], (p, q), provenance, euler_phi(n) // 2 + 1)
 
 
 def _delta_two_prime_powers(
@@ -277,17 +247,10 @@ def _delta_two_prime_powers(
     _require(alpha + beta >= 3, f"need alpha + beta >= 3, got {alpha + beta}")
     n = p**alpha * q**beta
     _check_degree(n)
-    comps: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p), Imprimitive(n, q, n // q)]
-    comps += [Intransitive(n, k) for k in _coprime_ks(n, (p, q))]
+    tops: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p), Imprimitive(n, q, n // q)]
     kind = _kind(group)
-    if kind is GroupKind.ALT:
-        comps = _wrap_all(comps)
-    return BasicSet(
-        group=GroupId(kind, n),
-        components=tuple(comps),
-        provenance=f"two_prime_powers(p={p}, q={q}, alpha={alpha}, beta={beta}, {kind.name.lower()})",
-        expected_size=euler_phi(n) // 2 + 2,
-    )
+    provenance = f"two_prime_powers(p={p}, q={q}, alpha={alpha}, beta={beta}, {kind.name.lower()})"
+    return _coprime_family(kind, n, tops, (p, q), provenance, euler_phi(n) // 2 + 2)
 
 
 def _delta_special_a9() -> BasicSet:
@@ -355,26 +318,29 @@ def construct_delta(family: str, **params) -> BasicSet:
 
 
 def _coverage_rows(g: GroupId, catalog: Catalog):
-    """The catalog in descriptor order, each row the bitmask of classes it meets.
+    """The catalog in descriptor order, each row the bitmask of minimal signatures it meets.
 
-    Bit i of a row stands for the i-th class in class_universe order. Raises
-    CatalogError when the rows together miss a class, so every search over
-    them finds a cover.
+    A class's signature is the bitmask of the descriptors that meet it. A choice
+    of descriptors meets every class iff it meets every minimal signature, one
+    holding no other; bit i of a row stands for the i-th of those by size, then
+    value. Raises CatalogError when a class is missed, so every search covers.
     """
     if catalog.group != g:
         raise ValueError(f"catalog is for {catalog.group}, not {g}")
     descs = sorted(catalog.descriptors, key=descriptor_sort_key)
-    rows = [0] * len(descs)
-    missing = []
-    for i, (parts, tag, sig) in enumerate(_signatures(g, descs)):
+    sigs, missing = set(), []
+    for parts, tag, sig in _signatures(g, descs):
         if not sig:
             missing.append(str(ClassId(CycleType(parts), tag)))
-        for j in range(len(descs)):
-            if sig >> j & 1:
-                rows[j] |= 1 << i
+        sigs.add(sig)
     if missing:
         raise CatalogError(f"catalog cannot cover classes {', '.join(missing)}; catalog data error")
-    return descs, rows, reduce(or_, rows)
+    minimal: list[int] = []
+    for sig in sorted(sigs, key=lambda s: (s.bit_count(), s)):
+        if all(low & sig != low for low in minimal):
+            minimal.append(sig)
+    rows = [sum(1 << i for i, sig in enumerate(minimal) if sig >> j & 1) for j in range(len(descs))]
+    return descs, rows, (1 << len(minimal)) - 1
 
 
 def _covers(rows: list[int], full: int, size: int):
@@ -405,18 +371,17 @@ def _first_cover(rows: list[int], full: int) -> tuple[int, ...]:
 def mandatory_components(g: GroupId, c: Catalog) -> tuple[SubgroupDescriptor, ...]:
     """Descriptors that are the unique coverer of some class.
 
-    Every basic set over the catalog must contain them. Requires a complete
-    catalog; on an incomplete one the notion is meaningless.
+    Every basic set over the catalog must contain them. Such a class has a
+    one-bit signature, always minimal, so its bit lies in that row alone.
+    Requires a complete catalog; on an incomplete one the notion is meaningless.
     """
     if not c.complete:
         raise CatalogError("mandatory components need a complete catalog")
-    descs, rows, full = _coverage_rows(g, c)
-    forced = set()
-    for i in range(full.bit_length()):
-        coverers = [j for j, row in enumerate(rows) if (row >> i) & 1]
-        if len(coverers) == 1:
-            forced.add(coverers[0])
-    return tuple(descs[j] for j in sorted(forced))
+    descs, rows, _ = _coverage_rows(g, c)
+    seen = shared = 0
+    for row in rows:
+        seen, shared = seen | row, shared | seen & row
+    return tuple(d for d, row in zip(descs, rows) if row & ~shared)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import ceil, floor
+from itertools import count
+from math import ceil, floor, gcd
 
 __all__ = [
     "Interval",
@@ -35,20 +35,25 @@ def _check_positive(n: int) -> None:
         raise ValueError(f"expected a positive integer, got {n!r}")
 
 
+# Brent's rho finds a prime factor p in about sqrt(p) steps. A cofactor that
+# reaches it lies below 3.317e24, where is_prime is exact, so it has a factor
+# below 1.83e12: up to about 2**22 steps, some seconds. The margin is four.
+_RHO_STEPS = 1 << 24
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n, as (prime, exponent) pairs.
 
-    Trial division; once it passes 1000, a prime cofactor ends it at once.
-    A cofactor with two prime factors above 1000 is still divided out by trial.
+    Trial division up to 1000; a composite cofactor is then split by Brent's
+    variant of Pollard's rho. ValueError for a cofactor above is_prime's range
+    or one that rho does not split within _RHO_STEPS steps.
     """
     _check_positive(n)
     twos = (n & -n).bit_length() - 1
     out: list[tuple[int, int]] = [(2, twos)] if twos else []
     m = n >> twos
     p = 3
-    while p * p <= m:
-        if p == 1001 and is_prime(m):
-            break
+    while p * p <= m and p < 1000:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -56,9 +61,40 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
         p += 2
-    if m > 1:
+    if p * p <= m:
+        big = _split(m)
+        out += [(q, big.count(q)) for q in sorted(set(big))]
+    elif m > 1:
         out.append((m, 1))
     return out
+
+
+def _split(m: int) -> list[int]:
+    """The prime factors of m > 1, with repeats, when m has none below 1000."""
+    if is_prime(m):
+        return [m]
+    d = _rho(m)
+    return _split(d) + _split(m // d)
+
+
+def _rho(m: int) -> int:
+    """A proper factor of the odd composite m by Brent's rho, trying x*x + c for c = 1, 2, ... in turn."""
+    steps = 0
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            steps += r
+            if steps > _RHO_STEPS:
+                raise ValueError(f"{m} did not split within {_RHO_STEPS} steps of Pollard's rho")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+                g = gcd(x - y, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g != m:
+            return g
 
 
 # Miller-Rabin with the 13 prime bases up to 41 is exact below this bound
@@ -159,14 +195,9 @@ def divisors(n: int) -> list[int]:
 def squarefree_divisors(n: int) -> list[int]:
     """Squarefree divisors of n, ascending; there are exactly 2**nu(n)."""
     _check_positive(n)
-    ps = [p for p, _ in factorize(n)]
-    out = []
-    for r in range(len(ps) + 1):
-        for combo in combinations(ps, r):
-            d = 1
-            for p in combo:
-                d *= p
-            out.append(d)
+    out = [1]
+    for p, _ in factorize(n):
+        out += [d * p for d in out]
     return sorted(out)
 
 
@@ -185,11 +216,7 @@ def a_of_n(n: int) -> int:
 def p0_of_n(n: int) -> int:
     """Least prime that does not divide n."""
     _check_positive(n)
-    p = 2
-    while True:
-        if is_prime(p) and n % p != 0:
-            return p
-        p += 1
+    return next(p for p in count(2) if n % p and is_prime(p))
 
 
 @dataclass(frozen=True)

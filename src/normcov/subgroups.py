@@ -160,14 +160,17 @@ def descriptor_to_json(d: SubgroupDescriptor) -> dict:
     return {"kind": "intersect_alt", "inner": descriptor_to_json(d.inner)}
 
 
-def _json_int(obj: dict, key: str, default: int | None = None) -> int:
-    """obj[key], or default when it is absent; ValueError naming key unless a JSON integer.
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list"}
 
-    A bool, float or string is refused, not coerced: 2.9 would read as 2.
+
+def _json_field(obj: dict, key: str, json_type: type = int, default=None):
+    """obj[key], or default when it is absent; ValueError naming key unless of type json_type.
+
+    Nothing is coerced: 2.9 would read as 2, and the string "false" as true.
     """
     value = obj[key] if default is None else obj.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"field {key!r} must be an integer, not {value!r}")
+    if type(value) is not json_type:
+        raise ValueError(f"field {key!r} must be {_JSON_TYPES[json_type]}, not {value!r}")
     return value
 
 
@@ -175,13 +178,13 @@ def descriptor_from_json(obj: dict, degree: int) -> SubgroupDescriptor:
     try:
         kind = obj["kind"]
         if kind == "intransitive":
-            return Intransitive(degree, _json_int(obj, "k"))
+            return Intransitive(degree, _json_field(obj, "k"))
         if kind == "imprimitive":
-            return Imprimitive(degree, _json_int(obj, "b"), _json_int(obj, "c"))
+            return Imprimitive(degree, _json_field(obj, "b"), _json_field(obj, "c"))
         if kind == "alternating":
             return FullAlternating(degree)
         if kind == "named":
-            return NamedGroup(degree, str(obj["name"]), _json_int(obj, "class", 1))
+            return NamedGroup(degree, _json_field(obj, "name", str), _json_field(obj, "class", int, 1))
         if kind == "intersect_alt":
             inner = descriptor_from_json(obj["inner"], degree)
             return IntersectAlt(inner)
@@ -544,9 +547,9 @@ class Catalog:
 
 def catalog_from_json(obj: dict) -> Catalog:
     try:
-        group = GroupId.parse(obj["group"])
-        complete = bool(obj["complete"])
-        descriptors = tuple(descriptor_from_json(s, group.degree) for s in obj["subgroups"])
+        group = GroupId.parse(_json_field(obj, "group", str))
+        complete = _json_field(obj, "complete", bool)
+        descriptors = tuple(descriptor_from_json(s, group.degree) for s in _json_field(obj, "subgroups", list))
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed catalog: {exc}") from exc
     return Catalog(group=group, descriptors=descriptors, complete=complete)

@@ -108,6 +108,7 @@ def test_verify_missing_args(capsys):
         {"group": "S8", "components": [{"kind": "imprimitive", "b": 2.0, "c": 4}]},
         {"group": "S8", "components": [{"kind": "imprimitive", "b": 2, "c": "4"}]},
         {"group": "S7", "components": [{"kind": "named", "name": "AGL1(7)", "class": True}]},
+        {"group": "S7", "components": [{"kind": "named", "name": 7}]},
         {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "expected_size": 1.5},
         {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "expected_size": True},
     ],
@@ -172,9 +173,27 @@ def test_gamma_a12_computed_value(capsys):
     assert payload["gamma"] == 3
 
 
-def test_gamma_no_catalog(capsys):
+def test_gamma_no_catalog(capsys, tmp_path):
     code, out, err = run(capsys, "gamma", "13", "sym")
     assert code == 2 and out == "" and "catalog" in err
+    # a catalog file whose fields have the wrong JSON type is an error, not a failure to cover
+    subgroups = [{"kind": "intransitive", "k": 2}, {"kind": "named", "name": "AGL1(5)"}]
+    good = {"group": "S5", "complete": True, "subgroups": subgroups}
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(good))
+    assert run(capsys, "gamma", "5", "sym", "--catalog", str(path))[0] == 0
+    for bad, word in (
+        ({"group": 5}, "'group' must be a string"),
+        ({"group": ["S5"]}, "'group' must be a string"),
+        ({"complete": "false"}, "'complete' must be true or false"),
+        ({"complete": 0}, "'complete' must be true or false"),
+        ({"subgroups": {"kind": "alternating"}}, "'subgroups' must be a list"),
+        ({"subgroups": [{"kind": "named", "name": 5}]}, "'name' must be a string"),
+    ):
+        path.write_text(json.dumps({**good, **bad}))
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "gamma", "5", "sym", "--catalog", str(path), "--format", fmt)
+            assert code == 2 and out == "" and word in err, (bad, err)
 
 
 def test_gamma_user_catalog_incomplete(capsys, tmp_path):
@@ -288,6 +307,18 @@ def test_bounds_at_a_huge_prime_degree():
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert "exact:       50000000000000000019" in proc.stdout
+
+
+def test_bounds_at_a_product_of_two_large_primes():
+    # 10000000019 * 10000000033: Pollard's rho splits it where trial division would not end
+    proc = subprocess.run(
+        [sys.executable, "-m", "normcov.cli", "bounds", "100000000520000000627", "sym"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert "exact:       50000000250000000289" in proc.stdout
 
 
 def test_closed_form_name_with_a_huge_prime_is_refused_at_once():

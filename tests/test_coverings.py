@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from normcov.bounds import TABLE3_ALT, general_upper, totient_lower
 from normcov.coverings import (
     BasicSet,
+    _coverage_rows,
     all_minimum_covers,
     construct_delta,
+    delta_families,
     exact_gamma,
     mandatory_components,
     verify_basic_set,
@@ -399,6 +401,78 @@ def test_unknown_family():
         construct_delta("nope")
 
 
+def _paper_families():
+    """(family, params, group, components, provenance, expected size) for every degree <= 60.
+
+    Written out from the paper's definitions, independently of the builders:
+    a wreath product on top, then S_k x S_{n-k} for 1 <= k < n/2 with k prime
+    to the primes the construction names, every component met with A_n for
+    the alternating group.
+    """
+    primes = [p for p in range(2, 61) if is_prime(p)]
+    kinds = (("sym", GroupKind.SYM), ("alt", GroupKind.ALT))
+
+    def coprime(n, ps):
+        return [Intransitive(n, k) for k in range(1, n) if 2 * k < n and all(k % p for p in ps)]
+
+    def out(family, params, kind, n, comps, provenance, size):
+        if kind is GroupKind.ALT:
+            comps = [ia(d) for d in comps]
+        return family, params, GroupId(kind, n), tuple(comps), provenance, size
+
+    for n in range(4, 61):
+        p = min(q for q in primes if n % q == 0)
+        for big in (False, True) if p < n else ():
+            wreath = Imprimitive(n, n // p, p) if big else Imprimitive(n, p, n // p)
+            tag = ", big blocks" if big else ""
+            size = n // 4 + 1 if n % 2 == 0 else 1 + n * (p - 1) // (2 * p)
+            yield out("upper_sym", dict(n=n, big_blocks=big), GroupKind.SYM, n, [wreath] + coprime(n, [p]),
+                      f"upper_sym(n={n}, p={p}{tag})", size)
+            if n % 2 == 0:
+                yield out("upper_alt_even", dict(n=n, big_blocks=big), GroupKind.ALT, n, [wreath] + coprime(n, [2]),
+                          f"upper_alt_even(n={n}{tag})", n // 4 + 1)
+        if n % 2 == 1:
+            top = NamedGroup(n, f"AGL1({n})") if p == n else Imprimitive(n, p, n // p)
+            comps = [top] + [Intransitive(n, k) for k in range(1, n // 3 + 1)]
+            yield out("upper_alt_odd", dict(n=n), GroupKind.ALT, n, comps, f"upper_alt_odd(n={n})", (n + 3) // 3)
+        if p == n and n >= 5:
+            comps = [NamedGroup(n, f"AGL1({n})")] + [Intransitive(n, k) for k in range(2, n // 2 + 1)]
+            yield out("sym_prime", dict(p=n), GroupKind.SYM, n, comps, f"sym_prime(p={n})", (n - 1) // 2)
+    for name, kind in kinds:
+        for p in primes:
+            for a in range(2, 6):
+                n = p**a
+                if n <= 60:
+                    comps = [Imprimitive(n, p, n // p)] + coprime(n, [p])
+                    yield out("prime_power", dict(p=p, alpha=a, group=name), kind, n, comps,
+                              f"prime_power(p={p}, alpha={a}, {name})", euler_phi(n) // 2 + 1)
+        for p, q in combinations(primes, 2):
+            n = p * q
+            if n <= 60:
+                for big in (False, True):
+                    comps = [Imprimitive(n, q, p) if big else Imprimitive(n, p, q)] + coprime(n, [p, q])
+                    yield out("two_primes", dict(p=p, q=q, group=name, big_blocks=big), kind, n, comps,
+                              f"two_primes(p={p}, q={q}, {name})", euler_phi(n) // 2 + 1)
+            for a in range(1, 6):
+                for b in range(1, 6):
+                    n = p**a * q**b
+                    if a + b >= 3 and n <= 60:
+                        comps = [Imprimitive(n, p, n // p), Imprimitive(n, q, n // q)] + coprime(n, [p, q])
+                        yield out("two_prime_powers", dict(p=p, q=q, alpha=a, beta=b, group=name), kind, n, comps,
+                                  f"two_prime_powers(p={p}, q={q}, alpha={a}, beta={b}, {name})",
+                                  euler_phi(n) // 2 + 2)
+
+
+def test_constructions_follow_the_paper_definitions():
+    seen = set()
+    for family, params, group, comps, provenance, size in _paper_families():
+        b = construct_delta(family, **params)
+        assert (b.group, b.components) == (group, comps), (family, params)
+        assert (b.provenance, b.expected_size) == (provenance, size), (family, params)
+        seen.add(family)
+    assert seen == set(delta_families()) - {"special_a9", "special_s10", "special_a11"}
+
+
 # --- mandatory components ---------------------------------------------------------
 
 
@@ -420,6 +494,19 @@ def test_mandatory_components_s4_no_intransitive():
     g = GroupId.sym(4)
     forced = mandatory_components(g, load_catalog(g))
     assert not any(isinstance(d, Intransitive) for d in forced)
+
+
+def test_mandatory_components_are_the_single_coverers():
+    groups = [GroupId.sym(n) for n in range(3, 13)] + [GroupId.alt(n) for n in range(4, 13)]
+    for g in groups:
+        cat = load_catalog(g)
+        covs = {d: class_coverage(d, g) for d in cat.descriptors}
+        single = set()
+        for c in class_universe(g):
+            coverers = [d for d, cov in covs.items() if c in cov]
+            if len(coverers) == 1:
+                single.add(coverers[0])
+        assert mandatory_components(g, cat) == tuple(sorted(single, key=descriptor_sort_key)), g
 
 
 def test_mandatory_needs_complete_catalog():
@@ -553,6 +640,20 @@ def test_search_matches_scan_on_larger_user_catalog():
     comps += [Imprimitive(n, b, n // b) for b in range(2, n // 2 + 1) if n % b == 0]
     covers = _check_search(g, Catalog(g, tuple(comps), complete=False))
     assert len(covers[0]) == 6
+
+
+def test_search_over_minimal_signatures_at_degree_30():
+    # the rows hold only minimal signatures: 80 bits stand for 5604 classes
+    n = 30
+    g = GroupId.sym(n)
+    comps = [FullAlternating(n)] + [Intransitive(n, k) for k in range(1, n // 2 + 1)]
+    comps += [Imprimitive(n, b, n // b) for b in range(2, n // 2 + 1) if n % b == 0]
+    cat = Catalog(g, tuple(comps), complete=False)
+    _, _, full = _coverage_rows(g, cat)
+    assert (full.bit_length(), len(class_universe(g))) == (80, 5604)
+    res = exact_gamma(g, cat)
+    assert res.gamma == 7 and not res.exact
+    assert verify_basic_set(res.witness).covered
 
 
 def test_incomplete_catalog_flagged():

@@ -124,6 +124,46 @@ def test_factorize_stops_at_a_prime_cofactor():
     assert factorize(997 * 1009**2) == [(997, 1), (1009, 2)]
 
 
+def test_factorize_matches_a_sieve_and_known_products():
+    spf = list(range(2 * 10**5))  # smallest prime factor, by sieve
+    for p in range(2, isqrt(len(spf)) + 1):
+        if spf[p] == p:
+            for m in range(p * p, len(spf), p):
+                spf[m] = min(spf[m], p)
+    for n in range(1, len(spf)):
+        want, m = {}, n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert factorize(n) == sorted(want.items()), n
+    # cofactors with two or three prime factors above 1000 go to Pollard's rho;
+    # the primes they were built from are the reference
+    rng = random.Random(SEED)
+    for _ in range(150):
+        ps = []
+        while len(ps) < rng.choice((2, 3)):
+            p = rng.randrange(10**3 + 1, 10**7)
+            if is_prime(p):
+                ps.append(p)
+        n = 1
+        for p in ps:
+            n *= p
+        want = [(p, ps.count(p)) for p in sorted(set(ps))]
+        assert factorize(n) == want, ps
+        assert factorize(12 * n) == [(2, 2), (3, 1)] + want, ps
+    assert factorize(1009**3 * 1013) == [(1009, 3), (1013, 1)]
+
+
+def test_factorize_beyond_the_rho_budget_is_an_error(monkeypatch):
+    import normcov.numtheory as nt
+
+    n = 10000000019 * 10000000033  # rho needs 65535 steps here
+    assert factorize(n) == [(10000000019, 1), (10000000033, 1)]
+    monkeypatch.setattr(nt, "_RHO_STEPS", 1000)
+    with pytest.raises(ValueError, match="did not split within 1000 steps"):
+        factorize(n)
+
+
 def test_squarefree_divisor_count():
     for n in range(1, 500):
         sf = squarefree_divisors(n)
