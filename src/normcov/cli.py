@@ -16,14 +16,17 @@ from enum import Enum
 
 from .bounds import bounds_report
 from .coverings import BasicSet, construct_delta, delta_families, exact_gamma, verify_basic_set
-from .cycle_types import CycleType, GroupId, Parity, parity, t_prime_set, t_set, u_set
+from .cycle_types import CycleType, GroupId, t_prime_set, t_set, u_set
 from .numtheory import Interval
 from .subgroups import (
     CatalogError,
+    FullAlternating,
+    Imprimitive,
     IntersectAlt,
-    _intersect_alt_test,
+    Intransitive,
+    NamedGroup,
+    _holds_type,
     catalog_to_json,
-    contains_type,
     load_catalog,
     parse_descriptor,
 )
@@ -143,10 +146,11 @@ def cmd_table3() -> CommandResult:
 
 
 _MEMBERSHIP_RULES = {
-    "intransitive": "the parts split into sub-multisets summing to k and n-k",
-    "imprimitive": "the parts admit a block-orbit grouping",
-    "alternating": "the type has even parity",
-    "named": "the type occurs in the exact spectrum, from a closed form or every element",
+    Intransitive: "the parts split into sub-multisets summing to k and n-k",
+    Imprimitive: "the parts admit a block-orbit grouping",
+    FullAlternating: "the type has even parity",
+    NamedGroup: "the type occurs in the exact spectrum, from a closed form or every element",
+    IntersectAlt: "even type contained in the intersected class",
 }
 
 
@@ -155,28 +159,27 @@ def cmd_membership(n: int, descriptor: str, type_text: str) -> CommandResult:
     t = CycleType.parse(type_text)
     if t.n != n:
         raise ValueError(f"type {t} is a partition of {t.n}, not {n}")
-    if isinstance(d, IntersectAlt):
-        member = parity(t) is Parity.EVEN and _intersect_alt_test(d)(t.parts)
-        rule = "even type contained in the intersected class"
-    else:
-        member = contains_type(d, t)
-        rule = _MEMBERSHIP_RULES[str(d).split(":", 1)[0]]
+    member = _holds_type(d, t)
+    rule = _MEMBERSHIP_RULES[type(d)]
     payload = {"descriptor": str(d), "type": str(t), "member": member, "rule": rule}
     text = f"{t} in {d}: {'yes' if member else 'no'} ({rule})"
     return CommandResult(Status.OK, payload, text)
 
 
+# u and t have about n/2 types at degree n; past this bound listing them costs
+# seconds and gigabytes. t_prime lists only the types its interval asks for.
+MAX_TYPES_DEGREE = 10**6
+
+
 def cmd_types(n: int, family: str, interval: str | None) -> CommandResult:
-    if family == "u":
-        types = u_set(n)
-    elif family == "t":
-        types = t_set(n)
-    elif family == "t_prime":
+    if family == "t_prime":
         if not interval:
             raise ValueError("t_prime needs --interval, e.g. --interval '[1,3)'")
         types = t_prime_set(n, Interval.parse(interval))
+    elif n > MAX_TYPES_DEGREE:
+        raise ValueError(f"types {family} needs n <= {MAX_TYPES_DEGREE}, got {n}")
     else:
-        raise ValueError(f"unknown family {family!r}; choose u, t or t_prime")
+        types = (u_set if family == "u" else t_set)(n)
     payload = {"n": n, "family": family, "types": [str(t) for t in types]}
     return CommandResult(Status.OK, payload, " ".join(str(t) for t in types))
 
@@ -204,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common], help="print all applicable bounds")
     p.add_argument("n", type=int)
     p.add_argument("group", choices=("sym", "alt"))
+    p.set_defaults(run=lambda a: cmd_bounds(a.n, a.group))
 
     p = sub.add_parser("verify", parents=[common], help="check that a basic set covers")
     p.add_argument("--file", help="basic set JSON file")
@@ -216,13 +220,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", dest="group_kind", choices=("sym", "alt"))
     p.add_argument("--big-blocks", action="store_true",
                    help="use the wreath product with large blocks")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("gamma", parents=[common], help="exact minimal basic set size")
     p.add_argument("n", type=int)
     p.add_argument("group", choices=("sym", "alt"))
     p.add_argument("--catalog", help="user catalog JSON file")
+    p.set_defaults(run=lambda a: cmd_gamma(a.n, a.group, a.catalog))
 
-    sub.add_parser("table3", parents=[common], help="exact values for degrees 3..12")
+    p = sub.add_parser("table3", parents=[common], help="exact values for degrees 3..12")
+    p.set_defaults(run=lambda a: cmd_table3())
 
     p = sub.add_parser(
         "membership",
@@ -235,15 +242,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("descriptor", help="e.g. 'imprimitive:3,4' or 'alt:intransitive:2'")
     p.add_argument("type", help="cycle type in bracket syntax, e.g. '[1,2,9]'; part order is ignored")
+    p.set_defaults(run=lambda a: cmd_membership(a.n, a.descriptor, a.type))
 
     p = sub.add_parser("types", parents=[common], help="list a distinguished type family")
     p.add_argument("n", type=int)
     p.add_argument("family", choices=("u", "t", "t_prime"))
     p.add_argument("--interval", help="interval for t_prime, e.g. '[1,3)'")
+    p.set_defaults(run=lambda a: cmd_types(a.n, a.family, a.interval))
 
     p = sub.add_parser("catalog", parents=[common], help="dump a built-in catalog")
     p.add_argument("n", type=int)
     p.add_argument("group", choices=("sym", "alt"))
+    p.set_defaults(run=lambda a: cmd_catalog(a.n, a.group))
 
     return parser
 
@@ -252,23 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bounds":
-            result = cmd_bounds(args.n, args.group)
-        elif args.command == "verify":
-            result = cmd_verify(args)
-        elif args.command == "gamma":
-            result = cmd_gamma(args.n, args.group, args.catalog)
-        elif args.command == "table3":
-            result = cmd_table3()
-        elif args.command == "membership":
-            result = cmd_membership(args.n, args.descriptor, args.type)
-        elif args.command == "types":
-            result = cmd_types(args.n, args.family, args.interval)
-        elif args.command == "catalog":
-            result = cmd_catalog(args.n, args.group)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, CatalogError, OSError, OverflowError, json.JSONDecodeError) as exc:
+        result = args.run(args)
+    except (ValueError, CatalogError, OSError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return Status.ERROR.value
     try:

@@ -179,17 +179,11 @@ def moebius(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    _check_positive(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n, ascending, built from factorize."""
+    out = [1]
+    for p, e in factorize(n):
+        out += [d * p**i for i in range(1, e + 1) for d in out]
+    return sorted(out)
 
 
 def squarefree_divisors(n: int) -> list[int]:

@@ -3,9 +3,12 @@
 A descriptor names a conjugacy class of subgroups symbolically. Membership of
 a cycle type is decided combinatorially for the intransitive and imprimitive
 families, by parity for the alternating group, and by the exact type spectrum
-for named groups. AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take
-their spectrum from a closed form (_closed_form); every other named group is
-closed from its generator record in generators.json.
+for named groups. One function, _coverage_rule, says how a descriptor meets
+the classes of S_n or A_n and refuses the pairings that mean nothing;
+contains_type, the membership command and the partition walk all ask it.
+AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take their spectrum
+from a closed form (_closed_form); every other named group is closed from its
+generator record in generators.json.
 
 A named descriptor reaches the walk through two cached resolvers of raw
 tuples, keyed on the descriptor and the data directory: _named_types gives
@@ -405,76 +408,61 @@ def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
     return False
 
 
-def _member_test(d: SubgroupDescriptor) -> Callable[[tuple[int, ...]], bool]:
-    """Membership of a raw descending cycle type in the S_n-level class d.
+def contains_type(d: SubgroupDescriptor, t: CycleType) -> bool:
+    """Does the S_n-level class of subgroups contain a permutation of type t?"""
+    return _coverage_rule(d, t.n, False)(t.parts)
 
-    The one membership rule: contains_type and the walk in _signatures
-    test types through it.
+
+def _holds_type(d: SubgroupDescriptor, t: CycleType) -> bool:
+    """contains_type, where alt:X asks instead whether X holds an even permutation of type t.
+
+    An odd type lies outside A_n, so alt:X answers no before its rule is built.
     """
+    alt = isinstance(d, IntersectAlt)
+    return (not alt or _is_even(t.parts)) and _coverage_rule(d, t.n, alt)(t.parts)
+
+
+def _coverage_rule(
+    d: SubgroupDescriptor, n: int, alt: bool
+) -> Callable[[tuple[int, ...]], bool] | frozenset[tuple[tuple[int, ...], SplitTag]]:
+    """How the component d meets the classes of S_n, or of A_n if alt; ValueError if it cannot be one.
+
+    The one place that decides what a descriptor means: contains_type, the
+    membership command and the walk in _signatures all ask here. Mostly a test
+    on raw descending cycle types. In A_n, alt:X is X's test read on even types
+    only, and a split type it accepts meets both of its A_n classes, because
+    the normalizer of the intersection contains odd permutations. A named
+    group of even permutations in A_n instead gives its exact set of classes,
+    as raw (parts, split tag) pairs.
+    """
+    if d.degree != n:
+        raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {'A' if alt else 'S'}{n}")
+    if alt:
+        if isinstance(d, FullAlternating):
+            raise ValueError("A_n is the whole group, not a component, for alternating degrees")
+        if isinstance(d, NamedGroup):
+            data = str(data_dir())
+            if not _named_types(d, data)[1]:
+                raise ValueError("group contains odd permutations; intersect with A_n first")
+            return _named_alt_classes(d, data)
+        if not isinstance(d, IntersectAlt):
+            raise ValueError(
+                f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
+            )
+        d = d.inner
+        if isinstance(d, NamedGroup) and _named_types(d, str(data_dir()))[1]:
+            raise ValueError(
+                f"{d.name} already lies inside the alternating group; use the named descriptor directly"
+            )
+    elif isinstance(d, IntersectAlt):
+        raise ValueError(f"descriptor {d} is an intersection with A_n; it is no component of S{n}")
     if isinstance(d, Intransitive):
         return lambda parts: _subset_sum(parts, d.k)
     if isinstance(d, Imprimitive):
         return lambda parts: _wreath_cover(parts, d.b)
     if isinstance(d, FullAlternating):
         return _is_even
-    if isinstance(d, NamedGroup):
-        return _named_types(d, str(data_dir()))[0].__contains__
-    raise TypeError(f"unknown descriptor {d!r}")
-
-
-def contains_type(d: SubgroupDescriptor, t: CycleType) -> bool:
-    """Does the S_n-level class of subgroups contain a permutation of type t?"""
-    if isinstance(d, IntersectAlt):
-        raise ValueError("membership is defined at the S_n level; use class_coverage for intersections")
-    if d.degree != t.n:
-        raise ValueError(f"degree mismatch: descriptor degree {d.degree}, type of {t.n}")
-    return _member_test(d)(t.parts)
-
-
-def _intersect_alt_test(d: IntersectAlt) -> Callable[[tuple[int, ...]], bool]:
-    """Membership of an even raw cycle type in d; ValueError if d is no proper intersection.
-
-    Intersecting a non-alternating S_n class with A_n keeps every even type.
-    The membership command and _coverage_rule both decide intersections here.
-    """
-    inner = d.inner
-    if isinstance(inner, NamedGroup) and _named_types(inner, str(data_dir()))[1]:
-        raise ValueError(
-            f"{inner.name} already lies inside the alternating group; use the named descriptor directly"
-        )
-    return _member_test(inner)
-
-
-def _coverage_rule(
-    d: SubgroupDescriptor, g: GroupId
-) -> Callable[[tuple[int, ...]], bool] | frozenset[tuple[tuple[int, ...], SplitTag]]:
-    """How the component d meets the classes of g; raises ValueError if it cannot be one.
-
-    Mostly a test on raw cycle types. In A_n the test is read on even types
-    only, and a split type it accepts meets both of its A_n classes. A named
-    group of even permutations in A_n instead gives its exact set of classes,
-    as raw (parts, split tag) pairs.
-    """
-    if d.degree != g.degree:
-        raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {g}")
-    if g.kind is GroupKind.SYM:
-        if isinstance(d, IntersectAlt):
-            raise ValueError(f"descriptor {d} is an intersection with A_n; it is no component of {g}")
-        return _member_test(d)
-    if isinstance(d, FullAlternating):
-        raise ValueError("A_n is the whole group, not a component, for alternating degrees")
-    if isinstance(d, IntersectAlt):
-        # A split type always lands in both A_n classes because the normalizer
-        # of the intersection contains odd permutations.
-        return _intersect_alt_test(d)
-    if isinstance(d, NamedGroup):
-        data = str(data_dir())
-        if not _named_types(d, data)[1]:
-            raise ValueError("group contains odd permutations; intersect with A_n first")
-        return _named_alt_classes(d, data)
-    raise ValueError(
-        f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
-    )
+    return _named_types(d, str(data_dir()))[0].__contains__
 
 
 def _signatures(g: GroupId, components, prune: bool = False):
@@ -492,7 +480,7 @@ def _signatures(g: GroupId, components, prune: bool = False):
     cut = 0
     sums_bits, tests, class_sets = [], [], []
     for i, d in enumerate(components):
-        rule = _coverage_rule(d, g)
+        rule = _coverage_rule(d, n, g.kind is GroupKind.ALT)
         inner = d.inner if isinstance(d, IntersectAlt) else d
         if isinstance(rule, frozenset):
             class_sets.append((1 << i, rule))

@@ -8,6 +8,8 @@ import pytest
 
 from normcov.cli import main
 from normcov.coverings import construct_delta, verify_basic_set
+from normcov.cycle_types import GroupId, Parity, parity, partitions
+from normcov.subgroups import IntersectAlt, class_coverage, load_catalog
 
 
 def run(capsys, *argv):
@@ -247,6 +249,10 @@ def test_membership_alt_rejects_all_even_named_groups(capsys):
     code, out, _ = run(capsys, "membership", "8", "alt:intransitive:3", "[3,3,1,1]")
     assert code == 0
     assert out == "[3,3,1,1] in alt:intransitive:3: yes (even type contained in the intersected class)\n"
+    # an odd type lies in no intersection with A_n, so it is answered before the inner class is looked at
+    for d in ("alt:named:M12", "alt:named:Bogus", "alt:intransitive:1"):
+        code, payload, _ = run_json(capsys, "membership", "12", d, "[2,1,1,1,1,1,1,1,1,1,1]")
+        assert code == 0 and payload["member"] is False, d
 
 
 def test_missing_second_class_refused_by_name(capsys, tmp_path):
@@ -281,6 +287,52 @@ def test_membership_errors(capsys):
     n = "100000000000000000038"
     code, out, err = run(capsys, "membership", n, "intransitive:1", f"[{n}]")
     assert code == 2 and out == "" and err.startswith("error: "), err
+
+
+def test_membership_agrees_with_the_walk(capsys):
+    # every built-in catalog descriptor and type; alt:X only holds even types
+    checked = 0
+    for n in range(3, 13):
+        for g in (GroupId.sym(n), GroupId.alt(n)) if n >= 4 else (GroupId.sym(n),):
+            for d in load_catalog(g).descriptors:
+                walk = {c.ctype for c in class_coverage(d, g)}
+                for t in partitions(n):
+                    if isinstance(d, IntersectAlt) and parity(t) is Parity.ODD:
+                        continue
+                    code, payload, _ = run_json(capsys, "membership", str(n), str(d), str(t))
+                    assert code == 0 and payload["member"] == (t in walk), (str(g), str(d), str(t))
+                    checked += 1
+    assert checked == 3419
+
+
+def test_membership_at_a_huge_degree():
+    # divisors of a 21-digit part come from its factorization, not trial division
+    n = "100000000000000000038"
+    proc = subprocess.run(
+        [sys.executable, "-m", "normcov.cli", "membership", n, "imprimitive:2,50000000000000000019", f"[{n}]"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith(f"[{n}] in imprimitive:2,50000000000000000019: yes")
+
+
+def test_too_deep_input_is_an_error(capsys, tmp_path):
+    # recursion past Python's limit is an error, not a traceback with the "does not cover" code
+    ones = "[" + ",".join(["1"] * 1000) + "]"
+    inner = '{"kind": "intransitive", "k": 1}'
+    for _ in range(5000):
+        inner = '{"kind": "intersect_alt", "inner": ' + inner + "}"
+    (tmp_path / "basic.json").write_text('{"group": "A7", "components": [' + inner + "]}")
+    (tmp_path / "catalog.json").write_text("[" * 5000 + "]" * 5000)
+    for argv in (
+        ["membership", "1000", "imprimitive:2,500", ones],
+        ["verify", "--file", str(tmp_path / "basic.json")],
+        ["gamma", "5", "sym", "--catalog", str(tmp_path / "catalog.json")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), (argv[0], err)
 
 
 def test_closed_forms_served_above_the_old_data(capsys):
@@ -345,6 +397,23 @@ def test_types_u_family(capsys):
     code, out, _ = run(capsys, "types", "11", "u")
     assert code == 0
     assert out.split() == ["[9,2]", "[8,3]", "[7,4]", "[6,5]"]
+
+
+def test_types_degree_bound():
+    # u and t would list about n/2 types; above 10^6 they are refused before any is built
+    for n, family in (("1000001", "u"), ("1000000000000", "t")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "normcov.cli", "types", n, family],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), n
+        assert proc.stderr == f"error: types {family} needs n <= 1000000, got {n}\n", proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "normcov.cli", "types", "1000000", "t"], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("[999997,2,1] [999991,6,3] ")
 
 
 def test_types_t_prime(capsys):

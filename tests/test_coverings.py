@@ -41,7 +41,6 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
-    _intersect_alt_test,
     class_coverage,
     contains_type,
     data_dir,
@@ -139,8 +138,8 @@ def _met_by(d, g):
     if g.kind is GroupKind.ALT and isinstance(d, NamedGroup):
         return alt_class_coverage(named_group(d.degree, d.name, d.cls))
     if isinstance(d, IntersectAlt):
-        test = _intersect_alt_test(d)
-        return frozenset(c for t in partitions(g.degree) if test(t.parts) for c in _classes_of(t, g))
+        even = (t for t in partitions(g.degree) if parity(t) is Parity.EVEN)
+        return frozenset(c for t in even if contains_type(d.inner, t) for c in _classes_of(t, g))
     return frozenset(c for t in partitions(g.degree) if contains_type(d, t) for c in _classes_of(t, g))
 
 

@@ -171,6 +171,15 @@ def test_squarefree_divisor_count():
         assert all(brute_moebius(d) != 0 for d in sf)
 
 
+def test_divisors_match_trial_division():
+    # divisors is built from factorize; trial division is the reference
+    for n in range(1, 20000):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        assert divisors(n) == sorted(set(small + [n // d for d in small])), n
+    p = 100000000000000000039  # prime; trial division to the square root would not end
+    assert divisors(2 * p) == [1, 2, p, 2 * p]
+
+
 def test_moebius_divisor_identities():
     for n in range(1, 300):
         total = sum(moebius(d) for d in divisors(n))

@@ -199,7 +199,7 @@ def test_agl1_7_spectrum():
     grp = closure(7, [Perm.from_cycles(7, [[1, 2, 3, 4, 5, 6, 7]]), Perm.from_cycles(7, [[2, 4, 3, 7, 5, 6]])])
     want = {ct(1, 1, 1, 1, 1, 1, 1), ct(7), ct(1, 2, 2, 2), ct(1, 3, 3), ct(1, 6)}
     assert grp.order == 42 and type_spectrum(grp) == frozenset(want)
-    assert {t for t in partitions(7) if _coverage_rule(NamedGroup(7, "AGL1(7)"), GroupId.sym(7))(t.parts)} == want
+    assert {t for t in partitions(7) if _coverage_rule(NamedGroup(7, "AGL1(7)"), 7, False)(t.parts)} == want
 
 
 def test_trivial_spectrum():
@@ -323,14 +323,14 @@ def test_slice_matches_every_element_for_records():
         d = NamedGroup(n, name.split(":")[0], 2 if name.endswith(":2") else 1)
         if grp.all_even():
             assert alt_class_coverage(grp) == classes, name
-            rule = _coverage_rule(d, GroupId.alt(n))
+            rule = _coverage_rule(d, n, True)
             assert rule == {(c.ctype.parts, c.split_tag) for c in classes}, name
         if n > 12:
             continue
-        sym_rule = _coverage_rule(d, GroupId.sym(n))
+        sym_rule = _coverage_rule(d, n, False)
         assert {t for t in partitions(n) if sym_rule(t.parts)} == types, name
         if not grp.all_even():
-            alt_rule = _coverage_rule(IntersectAlt(d), GroupId.alt(n))
+            alt_rule = _coverage_rule(IntersectAlt(d), n, True)
             even = {t for t in partitions(n) if parity(t) is Parity.EVEN}
             assert {t for t in even if alt_rule(t.parts)} == {t for t in types if t in even}, name
 
