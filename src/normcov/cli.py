@@ -166,8 +166,8 @@ def cmd_membership(n: int, descriptor: str, type_text: str) -> CommandResult:
     return CommandResult(Status.OK, payload, text)
 
 
-# u and t have about n/2 types at degree n; past this bound listing them costs
-# seconds and gigabytes. t_prime lists only the types its interval asks for.
+# u and t have about n/2 types at degree n, and t_prime up to one type per
+# integer of its interval; past this bound listing them costs seconds and gigabytes.
 MAX_TYPES_DEGREE = 10**6
 
 
@@ -175,7 +175,10 @@ def cmd_types(n: int, family: str, interval: str | None) -> CommandResult:
     if family == "t_prime":
         if not interval:
             raise ValueError("t_prime needs --interval, e.g. --interval '[1,3)'")
-        types = t_prime_set(n, Interval.parse(interval))
+        iv = Interval.parse(interval)
+        if iv.last_integer() - iv.first_integer() >= MAX_TYPES_DEGREE:
+            raise ValueError(f"types t_prime needs an interval of at most {MAX_TYPES_DEGREE} integers, got {iv}")
+        types = t_prime_set(n, iv)
     elif n > MAX_TYPES_DEGREE:
         raise ValueError(f"types {family} needs n <= {MAX_TYPES_DEGREE}, got {n}")
     else:

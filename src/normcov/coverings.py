@@ -86,7 +86,7 @@ class BasicSet:
         return cls(
             group=group,
             components=comps,
-            provenance=str(obj.get("provenance", "")),
+            provenance=_json_field(obj, "provenance", str, ""),
             expected_size=_json_field(obj, "expected_size") if "expected_size" in obj else None,
         )
 

@@ -31,7 +31,7 @@ from typing import Callable, Union
 
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
 from .numtheory import divisors, is_prime
-from .permgroup import GeneratedGroup, Perm, _raw_alt_classes, _raw_spectrum, closure, conjugate
+from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, _raw_alt_classes, _raw_spectrum, closure, conjugate
 
 __all__ = [
     "Catalog",
@@ -291,7 +291,10 @@ def _record_group(data: str, degree: int, name: str, cls: int) -> GeneratedGroup
     if cls == 2:
         swap = Perm.from_cycles(degree, [[1, 2]])
         gens = [conjugate(g, swap) for g in gens]
-    grp = closure(degree, gens)
+    try:
+        grp = closure(degree, gens, rec["expected_order"])
+    except ClosureCapExceeded:
+        raise CatalogError(f"{name}: closure exceeds the expected order {rec['expected_order']}") from None
     if grp.order != rec["expected_order"]:
         raise CatalogError(
             f"{name}: closure produced order {grp.order}, expected {rec['expected_order']}"
@@ -360,9 +363,11 @@ def _named_alt_classes(d: NamedGroup, data: str) -> frozenset[tuple[tuple[int, .
 
 
 def _subset_sum(parts: tuple[int, ...], target: int) -> bool:
+    """Do some of parts sum to target? A part above target is in no such sum and is skipped."""
     mask = 1
     for p in parts:
-        mask |= mask << p
+        if p <= target:
+            mask |= mask << p
     return bool((mask >> target) & 1)
 
 
@@ -416,10 +421,12 @@ def contains_type(d: SubgroupDescriptor, t: CycleType) -> bool:
 def _holds_type(d: SubgroupDescriptor, t: CycleType) -> bool:
     """contains_type, where alt:X asks instead whether X holds an even permutation of type t.
 
-    An odd type lies outside A_n, so alt:X answers no before its rule is built.
+    The rule is built first, so a pairing it refuses is refused whatever the
+    parity of t; then an odd type, which lies outside A_n, is no member of alt:X.
     """
     alt = isinstance(d, IntersectAlt)
-    return (not alt or _is_even(t.parts)) and _coverage_rule(d, t.n, alt)(t.parts)
+    rule = _coverage_rule(d, t.n, alt)
+    return (not alt or _is_even(t.parts)) and rule(t.parts)
 
 
 def _coverage_rule(

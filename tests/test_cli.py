@@ -113,6 +113,8 @@ def test_verify_missing_args(capsys):
         {"group": "S7", "components": [{"kind": "named", "name": 7}]},
         {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "expected_size": 1.5},
         {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "expected_size": True},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "provenance": {"x": 1}},
+        {"group": "S7", "components": [{"kind": "intransitive", "k": 2}], "provenance": 7},
     ],
 )
 def test_verify_malformed_file(capsys, tmp_path, doc):
@@ -249,10 +251,14 @@ def test_membership_alt_rejects_all_even_named_groups(capsys):
     code, out, _ = run(capsys, "membership", "8", "alt:intransitive:3", "[3,3,1,1]")
     assert code == 0
     assert out == "[3,3,1,1] in alt:intransitive:3: yes (even type contained in the intersected class)\n"
-    # an odd type lies in no intersection with A_n, so it is answered before the inner class is looked at
-    for d in ("alt:named:M12", "alt:named:Bogus", "alt:intransitive:1"):
-        code, payload, _ = run_json(capsys, "membership", "12", d, "[2,1,1,1,1,1,1,1,1,1,1]")
-        assert code == 0 and payload["member"] is False, d
+    # a refused descriptor is refused whatever the parity of the type; an odd type is in no alt:X
+    odd = "[2,1,1,1,1,1,1,1,1,1,1]"
+    for d, word in (("alt:named:M12", "alternating group"), ("alt:named:Bogus", "no generator record named 'Bogus'")):
+        for t in (odd, "[11,1]"):
+            code, out, err = run(capsys, "membership", "12", d, t)
+            assert code == 2 and out == "" and word in err, (d, t)
+    code, payload, _ = run_json(capsys, "membership", "12", "alt:intransitive:1", odd)
+    assert code == 0 and payload["member"] is False
 
 
 def test_missing_second_class_refused_by_name(capsys, tmp_path):
@@ -283,10 +289,10 @@ def test_membership_errors(capsys):
     for text in ("what:3", "imprimitive:3", "imprimitive:3,4,5", "intransitive:x"):
         code, out, err = run(capsys, "membership", "12", text, "[12]")
         assert (code, out, err) == (2, "", f"error: cannot parse descriptor '{text}'\n"), text
-    # a bit mask as wide as a huge degree overflows
+    # a part above k is skipped, so no bit mask as wide as a huge degree is built
     n = "100000000000000000038"
-    code, out, err = run(capsys, "membership", n, "intransitive:1", f"[{n}]")
-    assert code == 2 and out == "" and err.startswith("error: "), err
+    code, payload, err = run_json(capsys, "membership", n, "intransitive:1", f"[{n}]")
+    assert code == 0 and payload["member"] is False and err == "", err
 
 
 def test_membership_agrees_with_the_walk(capsys):
@@ -302,20 +308,22 @@ def test_membership_agrees_with_the_walk(capsys):
                     code, payload, _ = run_json(capsys, "membership", str(n), str(d), str(t))
                     assert code == 0 and payload["member"] == (t in walk), (str(g), str(d), str(t))
                     checked += 1
-    assert checked == 3419
+    assert checked == 3407
 
 
 def test_membership_at_a_huge_degree():
-    # divisors of a 21-digit part come from its factorization, not trial division
+    # divisors of a 21-digit part come from its factorization, not trial division,
+    # and a subset sum never shifts its mask by a part above its target
     n = "100000000000000000038"
-    proc = subprocess.run(
-        [sys.executable, "-m", "normcov.cli", "membership", n, "imprimitive:2,50000000000000000019", f"[{n}]"],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert proc.stdout.startswith(f"[{n}] in imprimitive:2,50000000000000000019: yes")
+    for d, t in (("imprimitive:2,50000000000000000019", f"[{n}]"), ("intransitive:1", "[100000000000000000037,1]")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "normcov.cli", "membership", n, d, t],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.startswith(f"{t} in {d}: yes"), proc.stdout
 
 
 def test_too_deep_input_is_an_error(capsys, tmp_path):
@@ -410,6 +418,17 @@ def test_types_degree_bound():
         )
         assert (proc.returncode, proc.stdout) == (2, ""), n
         assert proc.stderr == f"error: types {family} needs n <= 1000000, got {n}\n", proc.stderr
+    # t_prime lists up to one type per integer of its interval, so the same bound holds its width
+    for interval in ("[1,1000000000000)", "[1,1000001]"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "normcov.cli", "types", "6000000000000", "t_prime", "--interval", interval],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), interval
+        want = f"error: types t_prime needs an interval of at most 1000000 integers, got {interval}\n"
+        assert proc.stderr == want, proc.stderr
     proc = subprocess.run(
         [sys.executable, "-m", "normcov.cli", "types", "1000000", "t"], capture_output=True, text=True, timeout=30
     )

@@ -412,6 +412,25 @@ def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
     assert named_group(7, "PSL2(7)").order == 168
 
 
+def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
+    shutil.copytree(data_dir(), tmp_path / "data")
+    gen_file = tmp_path / "data" / "generators.json"
+    records = json.loads(gen_file.read_text())
+    # S_8's and S_10's generators under the order 1440: the closure stops at the recorded order,
+    # below the default cap that S_10 would pass and S_8 would not
+    bad = [
+        {"name": f"S{n}", "degree": n, "expected_order": 1440, "generators": [[[1, 2]], [list(range(1, n + 1))]]}
+        for n in (8, 10)
+    ]
+    gen_file.write_text(json.dumps(records + bad))
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    for n in (8, 10):
+        with pytest.raises(CatalogError, match=f"S{n}: closure exceeds the expected order 1440"):
+            named_group(n, f"S{n}")
+        with pytest.raises(CatalogError, match="closure exceeds"):
+            contains_type(NamedGroup(n, f"S{n}"), ct(n))
+
+
 def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
     # a fresh data directory gives fresh cache keys: only class-1 generators may be closed
     shutil.copytree(data_dir(), tmp_path / "data")
@@ -511,6 +530,56 @@ def test_catalog_contents_a8_two_affine_classes():
     cat = load_catalog(GroupId.alt(8))
     named = [d for d in cat.descriptors if isinstance(d, NamedGroup)]
     assert sorted((d.name, d.cls) for d in named) == [("AGL3(2)", 1), ("AGL3(2)", 2)]
+
+
+def test_catalog_meets_left_out_of_alt_lie_in_the_all_even_group():
+    # an S_n class whose meet with A_n is not listed may meet only classes some listed class meets;
+    # each such meet lies inside both classes of the all-even primitive group at its degree
+    all_even = {7: "PSL2(7)", 8: "AGL3(2)", 11: "M11", 12: "M12"}
+    left_out = set()
+    for n in range(5, 13):
+        a = GroupId.alt(n)
+        listed = load_catalog(a).descriptors
+        met = set().union(*(class_coverage(d, a) for d in listed))
+        for x in load_catalog(GroupId.sym(n)).descriptors:
+            if isinstance(x, FullAlternating) or IntersectAlt(x) in listed:
+                continue
+            left_out.add(x)
+            cov = class_coverage(IntersectAlt(x), a)
+            assert cov <= met, x
+            for cls in (1, 2):
+                assert cov <= class_coverage(NamedGroup(n, all_even[n], cls), a), (x, cls)
+    assert left_out == {
+        NamedGroup(7, "AGL1(7)"),
+        NamedGroup(8, "PGL2(7)"),
+        Imprimitive(8, 2, 4),
+        NamedGroup(11, "AGL1(11)"),
+        NamedGroup(12, "PGL2(11)"),
+    }
+
+
+def test_catalog_redundancy_report():
+    # the pairs (x, y) of one catalog where the classes x meets lie among those y meets
+    def inside(g):
+        cov = {d: class_coverage(d, g) for d in load_catalog(g).descriptors}
+        return {(str(x), str(y)) for x in cov for y in cov if x != y and cov[x] <= cov[y]}
+
+    def both(x, y):
+        return {(x, y), (y, x)}
+
+    for n in range(3, 13):
+        assert inside(GroupId.sym(n)) == set(), n
+    want = {
+        4: both("alt:intransitive:2", "alt:imprimitive:2,2"),  # the C_2 listed on purpose
+        5: both("alt:intransitive:1", "alt:intransitive:2"),
+        6: {("alt:intransitive:2", "alt:imprimitive:3,2"), ("alt:imprimitive:2,3", "alt:imprimitive:3,2")},
+        7: both("named:PSL2(7)", "named:PSL2(7):2"),
+        8: both("named:AGL3(2)", "named:AGL3(2):2"),
+        11: both("named:M11", "named:M11:2"),
+        12: both("named:M12", "named:M12:2"),
+    }
+    for n in range(4, 13):
+        assert inside(GroupId.alt(n)) == want.get(n, set()), n
 
 
 def test_catalog_missing():
