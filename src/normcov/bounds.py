@@ -223,10 +223,6 @@ def bounds_report(g: GroupId) -> BoundReport:
             exact = phb.bound
             sources.append((str(exact), "phi(n)/2 + delta equality"))
 
-    if g.kind is GroupKind.SYM and is_prime(n) and n >= 5 and exact is None:
-        exact = (n - 1) // 2
-        sources.append((str(exact), "prime-degree exact value"))
-
     if exact is not None:
         uppers.append(exact)
 

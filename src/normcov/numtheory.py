@@ -258,12 +258,11 @@ class Interval:
         if not m:
             raise ValueError(f"cannot parse interval {text!r}")
         lo_b, lo_s, hi_s, hi_b = m.groups()
-        return cls(
-            lo=Fraction(lo_s),
-            hi=Fraction(hi_s),
-            lo_open=(lo_b == "("),
-            hi_open=(hi_b == ")"),
-        )
+        try:
+            lo, hi = Fraction(lo_s), Fraction(hi_s)
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse interval {text!r}: zero denominator") from None
+        return cls(lo=lo, hi=hi, lo_open=(lo_b == "("), hi_open=(hi_b == ")"))
 
     @property
     def length(self) -> Fraction:

@@ -3,9 +3,9 @@
 Enumeration is the canonical representation here: every group this package
 materializes has order at most 10**6. Dimino's closure lists byte-encoded
 elements coset by coset; spectra and A_n classes are read off a slice of them
-that holds a conjugate of every element (see _stabiliser_slice). The raw
-readers _raw_spectrum and _raw_alt_classes give plain tuples and are not
-cached; type_spectrum and alt_class_coverage wrap them in dataclasses.
+that holds a conjugate of every element (see _stabiliser_slice), built once.
+The raw readers _raw_spectrum and _raw_alt_classes take that list, give plain
+tuples and cache nothing; type_spectrum and alt_class_coverage wrap them.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def closure(degree: int, gens: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -
     return GeneratedGroup(degree, tuple(gens), tuple(order))
 
 
-def _stabiliser_slice(g: GeneratedGroup) -> Iterator[bytes]:
+def _stabiliser_slice(g: GeneratedGroup) -> list[bytes]:
     """The elements e with e(0) least in its orbit under G_0, the stabiliser of 0.
 
     Conjugating x by h in G_0 sends x(0) to h(x(0)), so every element is
@@ -262,17 +262,17 @@ def _stabiliser_slice(g: GeneratedGroup) -> Iterator[bytes]:
         if p not in placed:
             least[p] = 1
             placed.update(map(itemgetter(p), stab))
-    return (e for e in g._elements if least[e[0]])
+    return [e for e in g._elements if least[e[0]]]
 
 
-def _raw_spectrum(g: GeneratedGroup) -> frozenset[tuple[int, ...]]:
-    """The descending cycle lengths of every element of g."""
-    return frozenset(map(_cycle_lengths, _stabiliser_slice(g)))
+def _raw_spectrum(elements: list[bytes]) -> frozenset[tuple[int, ...]]:
+    """The descending cycle lengths of elements, a group's stabiliser slice: the group's spectrum."""
+    return frozenset(map(_cycle_lengths, elements))
 
 
 def type_spectrum(g: GeneratedGroup) -> frozenset[CycleType]:
     """The set of cycle types realized by elements of the group."""
-    return frozenset(map(CycleType, _raw_spectrum(g)))
+    return frozenset(map(CycleType, _raw_spectrum(_stabiliser_slice(g))))
 
 
 def canonical_split_rep(t: CycleType) -> Perm:
@@ -311,16 +311,16 @@ def split_class_of(x: Perm) -> ClassId:
 
 
 def _raw_alt_classes(
-    g: GeneratedGroup, types: frozenset[tuple[int, ...]]
+    elements: list[bytes], types: frozenset[tuple[int, ...]]
 ) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
-    """The A_n classes met by the all-even g, whose raw spectrum is types, as (parts, split tag).
+    """The A_n classes, as (parts, split tag), met by an all-even group with this slice and raw spectrum.
 
     A type that does not split is one class. The split types are looked up
     in the stabiliser slice, which is left once each has shown both tags.
     """
     open_types = {t for t in types if _splits(t)}
     classes = {(t, SplitTag.NOT_SPLIT) for t in types - open_types}
-    for eb in _stabiliser_slice(g) if open_types else ():
+    for eb in elements if open_types else ():
         lens = _cycle_lengths(eb)
         if lens in open_types:
             classes.add((lens, _split_tag_of_images(eb)))
@@ -339,7 +339,8 @@ def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
     """
     if not g.all_even():
         raise ValueError("group contains odd permutations; intersect with A_n first")
-    return frozenset(ClassId(CycleType(parts), tag) for parts, tag in _raw_alt_classes(g, _raw_spectrum(g)))
+    elements = _stabiliser_slice(g)
+    return frozenset(ClassId(CycleType(t), tag) for t, tag in _raw_alt_classes(elements, _raw_spectrum(elements)))
 
 
 def sym_gens(n: int) -> list[Perm]:

@@ -10,12 +10,13 @@ AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take their spectrum
 from a closed form (_closed_form); every other named group is closed from its
 generator record in generators.json.
 
-A named descriptor reaches the walk through two cached resolvers of raw
-tuples, keyed on the descriptor and the data directory: _named_types gives
-its spectrum and whether it is all even, and _named_alt_classes its A_n
-classes. Only an A_n query computes split tags. The caches are lru_caches,
-which keep their own state consistent under threads; a race at worst closes
-a group twice.
+A named descriptor reaches the walk through one cached resolver of raw
+tuples, _named, keyed on the descriptor and the data directory. It gives the
+spectrum, and the A_n classes of an all-even group; a record's class 1 is
+closed once and both are read off one stabiliser slice, and class 2 is never
+closed. No closed group is cached: named_group closes afresh on every call.
+The caches are lru_caches, which keep their own state consistent under
+threads; a race at worst closes a group twice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Callable, Union
 
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
 from .numtheory import divisors, is_prime
-from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, _raw_alt_classes, _raw_spectrum, closure, conjugate
+from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate
+from .permgroup import _raw_alt_classes, _raw_spectrum, _stabiliser_slice
 
 __all__ = [
     "Catalog",
@@ -273,11 +275,11 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
     cls=2 is the conjugate of the recorded generators by the transposition
     (1 2), giving the second conjugacy class where one exists. Intransitive
     generators are refused, and so are AGL1(p) and PGL2(p): they have no record.
+    Nothing is cached: each call closes the generators afresh.
     """
     return _record_group(str(data_dir()), degree, name, cls)
 
 
-@lru_cache(maxsize=32)
 def _record_group(data: str, degree: int, name: str, cls: int) -> GeneratedGroup:
     rec = _record(data, degree, name, cls)
     gens = [Perm.from_cycles(degree, cycles) for cycles in rec["generators"]]
@@ -327,46 +329,49 @@ def _closed_form(name: str, degree: int) -> frozenset[tuple[int, ...]] | None:
 
 
 @lru_cache(maxsize=64)
-def _named_types(d: NamedGroup, data: str) -> tuple[frozenset[tuple[int, ...]], bool]:
-    """d's raw spectrum and whether d is all even; data is str(data_dir()).
+def _named(
+    d: NamedGroup, data: str
+) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[tuple[int, ...], SplitTag]] | None]:
+    """d's raw spectrum, and its raw (parts, split tag) A_n classes if d is all even, else None.
 
-    The one place that tells a closed form from a record: AGL1(p) and PGL2(p)
-    have a single class and hold odd permutations. Class 2 of a record, its
-    conjugate by (1 2), has the types and parity of class 1, so it reads them.
+    data is str(data_dir()). The one place that tells a closed form from a
+    record: AGL1(p) and PGL2(p) have a single class and hold odd permutations.
+    A record's class 1 is closed once, and both answers come from one
+    stabiliser slice. Class 2, its conjugate by (1 2), has the types of
+    class 1 and its A_n classes with each + and - swapped, so it is never closed.
     """
     types = _closed_form(d.name, d.degree)
     if types is not None:
         if d.cls != 1:
             raise CatalogError(f"{d.name} does not have a class {d.cls}")
-        return types, False
+        return types, None
     if d.cls != 1:
         _record(data, d.degree, d.name, d.cls)
-        return _named_types(NamedGroup(d.degree, d.name), data)
+        types, classes = _named(NamedGroup(d.degree, d.name), data)
+        if classes is not None:
+            swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
+            classes = frozenset((parts, swap.get(tag, tag)) for parts, tag in classes)
+        return types, classes
     grp = _record_group(data, d.degree, d.name, 1)
-    return _raw_spectrum(grp), grp.all_even()
-
-
-@lru_cache(maxsize=64)
-def _named_alt_classes(d: NamedGroup, data: str) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
-    """The raw (parts, split tag) A_n classes of d, a record that _named_types found all even.
-
-    Class 2 is class 1 with each + and - swapped, so it is never closed.
-    """
-    if d.cls == 2:
-        swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
-        one = _named_alt_classes(NamedGroup(d.degree, d.name), data)
-        return frozenset((parts, swap.get(tag, tag)) for parts, tag in one)
-    return _raw_alt_classes(_record_group(data, d.degree, d.name, 1), _named_types(d, data)[0])
+    elements = _stabiliser_slice(grp)
+    types = _raw_spectrum(elements)
+    return types, _raw_alt_classes(elements, types) if grp.all_even() else None
 
 
 # --- membership semantics ---------------------------------------------------
 
 
+# _subset_sum's mask has a bit per reachable sum: 2**26 bits is 8 MiB, where a 20-digit k asks for exabytes.
+_MAX_SUBSET_SUM_BITS = 1 << 26
+
+
 def _subset_sum(parts: tuple[int, ...], target: int) -> bool:
-    """Do some of parts sum to target? A part above target is in no such sum and is skipped."""
+    """Do some of parts sum to target? Parts above target are skipped; a mask too wide is a ValueError."""
     mask = 1
     for p in parts:
         if p <= target:
+            if mask.bit_length() + p > _MAX_SUBSET_SUM_BITS:
+                raise ValueError(f"subset sums up to k={target} need more than {_MAX_SUBSET_SUM_BITS} bits")
             mask |= mask << p
     return bool((mask >> target) & 1)
 
@@ -444,32 +449,27 @@ def _coverage_rule(
     """
     if d.degree != n:
         raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {'A' if alt else 'S'}{n}")
-    if alt:
-        if isinstance(d, FullAlternating):
-            raise ValueError("A_n is the whole group, not a component, for alternating degrees")
-        if isinstance(d, NamedGroup):
-            data = str(data_dir())
-            if not _named_types(d, data)[1]:
-                raise ValueError("group contains odd permutations; intersect with A_n first")
-            return _named_alt_classes(d, data)
-        if not isinstance(d, IntersectAlt):
-            raise ValueError(
-                f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups"
-            )
-        d = d.inner
-        if isinstance(d, NamedGroup) and _named_types(d, str(data_dir()))[1]:
-            raise ValueError(
-                f"{d.name} already lies inside the alternating group; use the named descriptor directly"
-            )
-    elif isinstance(d, IntersectAlt):
+    if alt and isinstance(d, FullAlternating):
+        raise ValueError("A_n is the whole group, not a component, for alternating degrees")
+    if alt and not isinstance(d, (NamedGroup, IntersectAlt)):
+        raise ValueError(f"descriptor {d} lives at the S_n level; wrap it in intersect_alt for alternating groups")
+    if not alt and isinstance(d, IntersectAlt):
         raise ValueError(f"descriptor {d} is an intersection with A_n; it is no component of S{n}")
-    if isinstance(d, Intransitive):
-        return lambda parts: _subset_sum(parts, d.k)
-    if isinstance(d, Imprimitive):
-        return lambda parts: _wreath_cover(parts, d.b)
-    if isinstance(d, FullAlternating):
+    inner = d.inner if isinstance(d, IntersectAlt) else d
+    if isinstance(inner, Intransitive):
+        return lambda parts: _subset_sum(parts, inner.k)
+    if isinstance(inner, Imprimitive):
+        return lambda parts: _wreath_cover(parts, inner.b)
+    if isinstance(inner, FullAlternating):
         return _is_even
-    return _named_types(d, str(data_dir()))[0].__contains__
+    types, classes = _named(inner, str(data_dir()))
+    if alt and inner is d:
+        if classes is None:
+            raise ValueError("group contains odd permutations; intersect with A_n first")
+        return classes
+    if alt and classes is not None:
+        raise ValueError(f"{inner.name} already lies inside the alternating group; use the named descriptor directly")
+    return types.__contains__
 
 
 def _signatures(g: GroupId, components, prune: bool = False):

@@ -324,6 +324,16 @@ def test_membership_at_a_huge_degree():
         )
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert proc.stdout.startswith(f"{t} in {d}: yes"), proc.stdout
+    # a mask as wide as a 20-digit target is refused before it is built
+    k = "50000000000000000019"
+    proc = subprocess.run(
+        [sys.executable, "-m", "normcov.cli", "membership", n, f"intransitive:{k}", f"[{k},{k}]"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith(f"error: subset sums up to k={k} need more than "), proc.stderr
 
 
 def test_too_deep_input_is_an_error(capsys, tmp_path):
@@ -440,6 +450,10 @@ def test_types_t_prime(capsys):
     assert code == 0 and payload["types"] == ["[9,5,4]"]
     code, out, _ = run(capsys, "types", "18", "t_prime")
     assert code == 2 and out == ""
+    # a zero denominator is a malformed interval, not a traceback with the "does not cover" code
+    for interval in ("[1/0,2)", "[1,2/0)", "[0/0,1)"):
+        code, out, err = run(capsys, "types", "12", "t_prime", "--interval", interval)
+        assert (code, out, err) == (2, "", f"error: cannot parse interval {interval!r}: zero denominator\n"), interval
 
 
 # --- catalog dump -------------------------------------------------------------------

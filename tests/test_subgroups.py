@@ -20,6 +20,7 @@ from normcov.cycle_types import (
     is_split,
     partitions,
 )
+from normcov.cli import main
 from normcov.numtheory import primes_up_to
 from normcov.permgroup import (
     Perm,
@@ -40,7 +41,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
-    _named_types,
+    _named,
     catalog_to_json,
     class_coverage,
     contains_type,
@@ -349,9 +350,9 @@ def _check_closed_form(name, grp, order):
     """The served spectrum of name equals that of grp, closed here, whose order is checked."""
     assert grp.order == order, name
     d, types = NamedGroup(grp.degree, name), type_spectrum(grp)
-    spectrum, all_even = _named_types(d, str(data_dir()))
+    spectrum, alt_classes = _named(d, str(data_dir()))
     assert spectrum == frozenset(t.parts for t in types), name
-    assert all_even is grp.all_even() is False, name
+    assert alt_classes is None and not grp.all_even(), name
     if grp.degree <= 24:
         for t in partitions(grp.degree):
             assert contains_type(d, t) == (t in types), (name, str(t))
@@ -431,8 +432,8 @@ def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
             contains_type(NamedGroup(n, f"S{n}"), ct(n))
 
 
-def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
-    # a fresh data directory gives fresh cache keys: only class-1 generators may be closed
+def _spy_on_closure(tmp_path, monkeypatch):
+    """A fresh data directory, so fresh cache keys, and the list of generators closed from now on."""
     shutil.copytree(data_dir(), tmp_path / "data")
     monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
     closed = []
@@ -442,16 +443,46 @@ def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
         return closure(degree, gens, *args)
 
     monkeypatch.setattr("normcov.subgroups.closure", spy)
-    d = NamedGroup(9, "PGammaL2(8)", 2)
-    assert class_coverage(d, GroupId.alt(9)) == alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
+    return closed
+
+
+def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
+    # only class-1 generators may be closed; named_group closes on every call, so its oracle comes first
+    want = alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
         ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
     }
-    assert contains_type(d, ct(9)) and contains_type(NamedGroup(8, "AGL3(2)", 2), ct(7, 1))
     records = {r["name"]: r for r in json.loads((data_dir() / "generators.json").read_text())}
+    closed = _spy_on_closure(tmp_path, monkeypatch)
+    d = NamedGroup(9, "PGammaL2(8)", 2)
+    assert class_coverage(d, GroupId.alt(9)) == want
+    assert contains_type(d, ct(9)) and contains_type(NamedGroup(8, "AGL3(2)", 2), ct(7, 1))
     assert closed == [
         (n, [Perm.from_cycles(n, cycles).images for cycles in records[name]["generators"]])
         for name, n in (("PGammaL2(8)", 9), ("AGL3(2)", 8))
     ]
+
+
+def test_named_descriptor_closes_class_one_once(tmp_path, monkeypatch, capsys):
+    # every question on M11, either class, bare or under alt:, reads one resolution of class 1
+    record = next(r for r in json.loads((data_dir() / "generators.json").read_text()) if r["name"] == "M11")
+    closed = _spy_on_closure(tmp_path, monkeypatch)
+    answers, codes = [], []
+    for cls in (1, 2):
+        for d in (NamedGroup(11, "M11", cls), IntersectAlt(NamedGroup(11, "M11", cls))):
+            for ask in (
+                lambda: contains_type(d, ct(11)),
+                lambda: class_coverage(d, GroupId.sym(11)),
+                lambda: class_coverage(d, GroupId.alt(11)),
+            ):
+                try:
+                    answers.append(bool(ask()))
+                except ValueError:
+                    answers.append(None)  # alt:M11 is refused in S_11 and A_11 alike
+            codes.append(main(["membership", "11", str(d), "[11]"]))
+    assert answers == [True, True, True, None, None, None] * 2
+    assert codes == [0, 2, 0, 2]
+    assert "[11] in named:M11:2: yes" in capsys.readouterr().out
+    assert closed == [(11, [Perm.from_cycles(11, cycles).images for cycles in record["generators"]])]
 
 
 def _answers(name, n):
