@@ -1,8 +1,10 @@
 """Command-line surface: bounds, verification, exact minima and type listings.
 
-Exit codes: 0 for success, 1 for a basic set that fails to cover, 2 for any
-error. Output is plain text by default or JSON with --format json; nothing is
-printed on stdout when a command errors.
+Each subparser names its handler, which takes the parsed arguments and returns
+(exit code, JSON payload, text); main prints the payload with --format json and
+the text otherwise. Exit codes: 0 for success, 1 for a basic set that fails to
+cover, 2 for any error, which main reports as "error: ..." on stderr with
+nothing on stdout. Every JSON file is read by subgroups._load_json.
 """
 
 from __future__ import annotations
@@ -11,58 +13,31 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from enum import Enum
 
 from .bounds import bounds_report
 from .coverings import BasicSet, construct_delta, delta_families, exact_gamma, verify_basic_set
 from .cycle_types import CycleType, GroupId, t_prime_set, t_set, u_set
 from .numtheory import Interval
 from .subgroups import (
-    CatalogError,
     FullAlternating,
     Imprimitive,
     IntersectAlt,
     Intransitive,
     NamedGroup,
     _holds_type,
+    _load_json,
     catalog_to_json,
     load_catalog,
     parse_descriptor,
 )
 
-__all__ = ["CommandResult", "Status", "entry", "main"]
+__all__ = ["entry", "main"]
+
+OK, UNCOVERED, ERROR = 0, 1, 2
 
 
-class Status(Enum):
-    OK = 0
-    UNCOVERED = 1
-    ERROR = 2
-
-
-@dataclass
-class CommandResult:
-    status: Status
-    payload: dict
-    text: str
-
-    @property
-    def exit_code(self) -> int:
-        return self.status.value
-
-
-def _group_id(n: int, group: str) -> GroupId:
-    return GroupId.parse(group, degree=n)
-
-
-def _render(result: CommandResult, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(result.payload, indent=2)
-    return result.text
-
-
-def cmd_bounds(n: int, group: str) -> CommandResult:
-    rep = bounds_report(_group_id(n, group))
+def cmd_bounds(args):
+    rep = bounds_report(GroupId.parse(args.group, degree=args.n))
     lines = [f"group {rep.group}"]
     lines.append(f"  lower bound: {rep.lower} (ceiling {rep.lower_ceil})")
     lines.append(f"  upper bound: {rep.upper}")
@@ -70,29 +45,17 @@ def cmd_bounds(n: int, group: str) -> CommandResult:
     lines.append("  rules:")
     for value, rule in rep.sources:
         lines.append(f"    {value:>12}  {rule}")
-    return CommandResult(Status.OK, rep.to_json(), "\n".join(lines))
+    return OK, rep.to_json(), "\n".join(lines)
 
 
-def _basic_set_from_args(args) -> BasicSet:
+def cmd_verify(args):
     if args.file:
-        with open(args.file) as fh:
-            return BasicSet.from_json(json.load(fh))
-    if not args.family:
+        basic = BasicSet.from_json(_load_json(args.file, "basic set file"))
+    elif args.family:
+        flags = {key: getattr(args, key) for key in ("n", "p", "q", "alpha", "beta", "group", "big_blocks")}
+        basic = construct_delta(args.family, **{key: val for key, val in flags.items() if val is not None})
+    else:
         raise ValueError("verify needs --file or --family")
-    params: dict = {}
-    for key in ("n", "p", "q", "alpha", "beta"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    if args.group_kind:
-        params["group"] = args.group_kind
-    if args.big_blocks:
-        params["big_blocks"] = True
-    return construct_delta(args.family, **params)
-
-
-def cmd_verify(args) -> CommandResult:
-    basic = _basic_set_from_args(args)
     report = verify_basic_set(basic)
     # report.to_json() reads the coverage matrix, one unpruned walk over every class
     payload = {"basic_set": basic.to_json(), "report": report.to_json()} if args.format == "json" else {}
@@ -101,20 +64,16 @@ def cmd_verify(args) -> CommandResult:
         lines.append(f"  {d}")
     if report.covered:
         lines.append("covered: every conjugacy class is met")
-        return CommandResult(Status.OK, payload, "\n".join(lines))
+        return OK, payload, "\n".join(lines)
     lines.append("NOT covered; missed classes:")
     for cid in report.uncovered:
         lines.append(f"  {cid}")
-    return CommandResult(Status.UNCOVERED, payload, "\n".join(lines))
+    return UNCOVERED, payload, "\n".join(lines)
 
 
-def cmd_gamma(n: int, group: str, catalog_path: str | None) -> CommandResult:
-    g = _group_id(n, group)
-    if catalog_path:
-        cat = load_catalog(g, path=catalog_path)
-    else:
-        cat = load_catalog(g)
-    result = exact_gamma(g, cat)
+def cmd_gamma(args):
+    g = GroupId.parse(args.group, degree=args.n)
+    result = exact_gamma(g, load_catalog(g, path=args.catalog or None))
     payload = {
         "group": g.name,
         "gamma": result.gamma,
@@ -125,10 +84,10 @@ def cmd_gamma(n: int, group: str, catalog_path: str | None) -> CommandResult:
     lines = [f"{kind} for {g}: {result.gamma}", "witness basic set:"]
     for d in result.witness.components:
         lines.append(f"  {d}")
-    return CommandResult(Status.OK, payload, "\n".join(lines))
+    return OK, payload, "\n".join(lines)
 
 
-def cmd_table3() -> CommandResult:
+def cmd_table3(args):
     sym: dict[int, int] = {}
     alt: dict[int, int] = {}
     for n in range(3, 13):
@@ -142,7 +101,7 @@ def cmd_table3() -> CommandResult:
     header = "n        " + " ".join(f"{n:2d}" for n in range(3, 13))
     row_s = "gamma(S) " + " ".join(f"{sym[n]:2d}" for n in range(3, 13))
     row_a = "gamma(A)  - " + " ".join(f"{alt[n]:2d}" for n in range(4, 13))
-    return CommandResult(Status.OK, payload, "\n".join([header, row_s, row_a]))
+    return OK, payload, "\n".join([header, row_s, row_a])
 
 
 _MEMBERSHIP_RULES = {
@@ -154,16 +113,16 @@ _MEMBERSHIP_RULES = {
 }
 
 
-def cmd_membership(n: int, descriptor: str, type_text: str) -> CommandResult:
-    d = parse_descriptor(descriptor, n)
-    t = CycleType.parse(type_text)
-    if t.n != n:
-        raise ValueError(f"type {t} is a partition of {t.n}, not {n}")
+def cmd_membership(args):
+    d = parse_descriptor(args.descriptor, args.n)
+    t = CycleType.parse(args.type)
+    if t.n != args.n:
+        raise ValueError(f"type {t} is a partition of {t.n}, not {args.n}")
     member = _holds_type(d, t)
     rule = _MEMBERSHIP_RULES[type(d)]
     payload = {"descriptor": str(d), "type": str(t), "member": member, "rule": rule}
     text = f"{t} in {d}: {'yes' if member else 'no'} ({rule})"
-    return CommandResult(Status.OK, payload, text)
+    return OK, payload, text
 
 
 # u and t have about n/2 types at degree n, and t_prime up to one type per
@@ -171,11 +130,12 @@ def cmd_membership(n: int, descriptor: str, type_text: str) -> CommandResult:
 MAX_TYPES_DEGREE = 10**6
 
 
-def cmd_types(n: int, family: str, interval: str | None) -> CommandResult:
+def cmd_types(args):
+    n, family = args.n, args.family
     if family == "t_prime":
-        if not interval:
+        if not args.interval:
             raise ValueError("t_prime needs --interval, e.g. --interval '[1,3)'")
-        iv = Interval.parse(interval)
+        iv = Interval.parse(args.interval)
         if iv.last_integer() - iv.first_integer() >= MAX_TYPES_DEGREE:
             raise ValueError(f"types t_prime needs an interval of at most {MAX_TYPES_DEGREE} integers, got {iv}")
         types = t_prime_set(n, iv)
@@ -184,17 +144,17 @@ def cmd_types(n: int, family: str, interval: str | None) -> CommandResult:
     else:
         types = (u_set if family == "u" else t_set)(n)
     payload = {"n": n, "family": family, "types": [str(t) for t in types]}
-    return CommandResult(Status.OK, payload, " ".join(str(t) for t in types))
+    return OK, payload, " ".join(str(t) for t in types)
 
 
-def cmd_catalog(n: int, group: str) -> CommandResult:
-    g = _group_id(n, group)
+def cmd_catalog(args):
+    g = GroupId.parse(args.group, degree=args.n)
     cat = load_catalog(g)
     payload = catalog_to_json(cat)
     lines = [f"catalog for {g} ({'complete' if cat.complete else 'incomplete'}):"]
     for d in cat.descriptors:
         lines.append(f"  {d}")
-    return CommandResult(Status.OK, payload, "\n".join(lines))
+    return OK, payload, "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common], help="print all applicable bounds")
     p.add_argument("n", type=int)
     p.add_argument("group", choices=("sym", "alt"))
-    p.set_defaults(run=lambda a: cmd_bounds(a.n, a.group))
+    p.set_defaults(run=cmd_bounds)
 
     p = sub.add_parser("verify", parents=[common], help="check that a basic set covers")
     p.add_argument("--file", help="basic set JSON file")
@@ -220,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--alpha", type=int)
     p.add_argument("--beta", type=int)
-    p.add_argument("--group", dest="group_kind", choices=("sym", "alt"))
-    p.add_argument("--big-blocks", action="store_true",
+    p.add_argument("--group", choices=("sym", "alt"))
+    p.add_argument("--big-blocks", action="store_true", default=None,
                    help="use the wreath product with large blocks")
     p.set_defaults(run=cmd_verify)
 
@@ -229,10 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("group", choices=("sym", "alt"))
     p.add_argument("--catalog", help="user catalog JSON file")
-    p.set_defaults(run=lambda a: cmd_gamma(a.n, a.group, a.catalog))
+    p.set_defaults(run=cmd_gamma)
 
     p = sub.add_parser("table3", parents=[common], help="exact values for degrees 3..12")
-    p.set_defaults(run=lambda a: cmd_table3())
+    p.set_defaults(run=cmd_table3)
 
     p = sub.add_parser(
         "membership",
@@ -245,36 +205,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("descriptor", help="e.g. 'imprimitive:3,4' or 'alt:intransitive:2'")
     p.add_argument("type", help="cycle type in bracket syntax, e.g. '[1,2,9]'; part order is ignored")
-    p.set_defaults(run=lambda a: cmd_membership(a.n, a.descriptor, a.type))
+    p.set_defaults(run=cmd_membership)
 
     p = sub.add_parser("types", parents=[common], help="list a distinguished type family")
     p.add_argument("n", type=int)
     p.add_argument("family", choices=("u", "t", "t_prime"))
     p.add_argument("--interval", help="interval for t_prime, e.g. '[1,3)'")
-    p.set_defaults(run=lambda a: cmd_types(a.n, a.family, a.interval))
+    p.set_defaults(run=cmd_types)
 
     p = sub.add_parser("catalog", parents=[common], help="dump a built-in catalog")
     p.add_argument("n", type=int)
     p.add_argument("group", choices=("sym", "alt"))
-    p.set_defaults(run=lambda a: cmd_catalog(a.n, a.group))
+    p.set_defaults(run=cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        result = args.run(args)
-    except (ValueError, CatalogError, OSError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
+        code, payload, text = args.run(args)
+    # CatalogError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return Status.ERROR.value
+        return ERROR
     try:
-        print(_render(result, args.format), flush=True)
+        print(json.dumps(payload, indent=2) if args.format == "json" else text, flush=True)
     except BrokenPipeError:
         # The reader left early; send the rest, and the flush at exit, nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return result.exit_code
+    return code
 
 
 def entry() -> None:  # console script hook

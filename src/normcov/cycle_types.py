@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 
 from .numtheory import Interval, a_of_n
@@ -41,34 +42,42 @@ class Parity(Enum):
     ODD = "odd"
 
 
-class SplitTag(Enum):
+@total_ordering
+class _ByValue(Enum):
+    """An enum whose members compare by value, so that ClassId and GroupId order totally."""
+
+    def __lt__(self, other):
+        return self.value < other.value if type(other) is type(self) else NotImplemented
+
+
+class SplitTag(_ByValue):
     NOT_SPLIT = ""
     PLUS = "+"
     MINUS = "-"
 
 
-class GroupKind(Enum):
+class GroupKind(_ByValue):
     SYM = "S"
     ALT = "A"
 
 
 @dataclass(frozen=True, order=True)
 class CycleType:
-    """A partition of n, parts stored descending; names an S_n class."""
+    """A partition of n, parts stored as a descending tuple whatever order they come in; names an S_n class."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        parts = tuple(sorted(self.parts, reverse=True))
+        if not parts:
             raise ValueError("a cycle type needs at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be >= 1, got {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+        if parts[-1] < 1:
+            raise ValueError(f"parts must be >= 1, got {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def of(cls, parts) -> "CycleType":
-        return cls(tuple(sorted(parts, reverse=True)))
+        return cls(parts)
 
     @classmethod
     def parse(cls, text: str) -> "CycleType":
@@ -215,7 +224,7 @@ def u_set(n: int) -> list[CycleType]:
     """
     if n < 5:
         raise ValueError(f"u_set needs n >= 5, got {n}")
-    return [CycleType.of((k, n - k)) for k in range(2, (n + 1) // 2) if 2 * k < n and gcd(k, n) == 1]
+    return [CycleType((n - k, k)) for k in range(2, (n + 1) // 2) if gcd(k, n) == 1]
 
 
 def t_set(n: int) -> list[CycleType]:
@@ -230,7 +239,7 @@ def t_set(n: int) -> list[CycleType]:
     i = 1
     while a * i < n - 1:
         if gcd(i, n) == 1:
-            out.append(CycleType.of((i, (a - 1) * i, n - a * i)))
+            out.append(CycleType((i, (a - 1) * i, n - a * i)))
         i += 1
     return out
 
@@ -250,7 +259,7 @@ def t_prime_set(n: int, interval: Interval) -> list[CycleType]:
     out = []
     for i in range(interval.first_integer(), interval.last_integer() + 1):
         if gcd(i, n) == 1:
-            out.append(CycleType.of((m - i, m - 2 * i, m + 3 * i)))
+            out.append(CycleType((m - i, m - 2 * i, m + 3 * i)))
     return out
 
 

@@ -17,6 +17,11 @@ closed once and both are read off one stabiliser slice, and class 2 is never
 closed. No closed group is cached: named_group closes afresh on every call.
 The caches are lru_caches, which keep their own state consistent under
 threads; a race at worst closes a group twice.
+
+One loader, _load_json, reads every JSON file the package takes: basic sets,
+user and built-in catalogs, and generators.json. A missing file or one that
+is no JSON is a CatalogError naming it. Generator records are checked field
+by field, through _json_field, when the file loads.
 """
 
 from __future__ import annotations
@@ -241,16 +246,44 @@ def data_dir() -> Path:
     return Path(env) if env else _PACKAGE_DATA
 
 
+def _load_json(path: str | Path, what: str):
+    """The JSON document in the file at path; CatalogError naming what if it is missing or no JSON."""
+    path = Path(path)
+    if not path.exists():
+        raise CatalogError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"malformed {what} {path}: {exc}") from exc
+
+
+# (key, JSON type, default) of each field of a generator record; a default of None means required
+_RECORD_FIELDS = (
+    ("name", str, None),
+    ("degree", int, None),
+    ("expected_order", int, None),
+    ("classes", int, 1),
+    ("generators", list, None),
+)
+
+
 @lru_cache(maxsize=8)
 def _generator_records(data: str) -> dict[str, dict]:
+    """The records of generators.json by name, each field checked; CatalogError naming a bad record."""
     path = Path(data) / "generators.json"
-    if not path.exists():
-        raise CatalogError(f"generator data file not found: {path}")
-    try:
-        records = json.loads(path.read_text())
-        return {rec["name"]: rec for rec in records}
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CatalogError(f"malformed generator data file {path}: {exc}") from exc
+    doc = _load_json(path, "generator data file")
+    if type(doc) is not list:
+        raise CatalogError(f"malformed generator data file {path}: not a list of records")
+    records = {}
+    for i, rec in enumerate(doc, 1):
+        try:
+            rec = {key: _json_field(rec, key, json_type, default) for key, json_type, default in _RECORD_FIELDS}
+        except KeyError as exc:
+            raise CatalogError(f"generator record {i} in {path} has no field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CatalogError(f"malformed generator record {i} in {path}: {exc}") from None
+        records[rec["name"]] = rec
+    return records
 
 
 def named_group_names() -> list[str]:
@@ -264,7 +297,7 @@ def _record(data: str, degree: int, name: str, cls: int) -> dict:
         raise CatalogError(f"no generator record named {name!r}")
     if rec["degree"] != degree:
         raise CatalogError(f"{name} has degree {rec['degree']}, not {degree}")
-    if cls not in (1, 2) or (cls == 2 and rec.get("classes", 1) < 2):
+    if cls not in (1, 2) or (cls == 2 and rec["classes"] < 2):
         raise CatalogError(f"{name} does not have a class {cls}")
     return rec
 
@@ -282,7 +315,10 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
 
 def _record_group(data: str, degree: int, name: str, cls: int) -> GeneratedGroup:
     rec = _record(data, degree, name, cls)
-    gens = [Perm.from_cycles(degree, cycles) for cycles in rec["generators"]]
+    try:
+        gens = [Perm.from_cycles(degree, cycles) for cycles in rec["generators"]]
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{name}: malformed generators: {exc}") from None
     orbit, todo = {0}, [0]
     for p in todo:
         for q in {g.images[p] for g in gens} - orbit:
@@ -564,21 +600,13 @@ def load_catalog(g: GroupId | None = None, path: str | Path | None = None) -> Ca
     Built-in catalogs exist for S_3..S_12 and A_4..A_12 and are complete;
     user-supplied catalogs carry their own completeness flag.
     """
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise CatalogError(f"catalog file not found: {p}")
-        try:
-            obj = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"malformed catalog file {p}: {exc}") from exc
-        cat = catalog_from_json(obj)
-        if g is not None and cat.group != g:
-            raise CatalogError(f"catalog file is for {cat.group}, not {g}")
-        return cat
-    if g is None:
-        raise ValueError("need a group or a path")
-    p = data_dir() / "catalogs" / f"{g.name}.json"
-    if not p.exists():
-        raise CatalogError(f"no built-in catalog for {g} (supply a catalog file)")
-    return catalog_from_json(json.loads(p.read_text()))
+    if path is None:
+        if g is None:
+            raise ValueError("need a group or a path")
+        path = data_dir() / "catalogs" / f"{g.name}.json"
+        if not path.exists():
+            raise CatalogError(f"no built-in catalog for {g} (supply a catalog file)")
+    cat = catalog_from_json(_load_json(path, "catalog file"))
+    if g is not None and cat.group != g:
+        raise CatalogError(f"catalog file is for {cat.group}, not {g}")
+    return cat

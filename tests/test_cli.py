@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, round trips."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from normcov.cli import main
 from normcov.coverings import construct_delta, verify_basic_set
 from normcov.cycle_types import GroupId, Parity, parity, partitions
-from normcov.subgroups import IntersectAlt, class_coverage, load_catalog
+from normcov.subgroups import IntersectAlt, class_coverage, data_dir, load_catalog
 
 
 def run(capsys, *argv):
@@ -125,6 +126,17 @@ def test_verify_malformed_file(capsys, tmp_path, doc):
         assert code == 2 and out == "" and err.startswith("error: "), (doc, err)
 
 
+def test_verify_unreadable_file(capsys, tmp_path):
+    # one loader reads every JSON file, so these name the file like a bad catalog does
+    (tmp_path / "cut.json").write_text('{"group": "S7", "components": [')
+    (tmp_path / "empty.json").write_text("")
+    for name, word in (("missing.json", "basic set file not found: "), ("cut.json", "malformed basic set file "),
+                       ("empty.json", "malformed basic set file ")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "verify", "--file", str(tmp_path / name), "--format", fmt)
+            assert code == 2 and out == "" and err.startswith(f"error: {word}{tmp_path / name}"), err
+
+
 @pytest.mark.parametrize(
     "argv, word",
     [
@@ -198,6 +210,21 @@ def test_gamma_no_catalog(capsys, tmp_path):
         for fmt in ("text", "json"):
             code, out, err = run(capsys, "gamma", "5", "sym", "--catalog", str(path), "--format", fmt)
             assert code == 2 and out == "" and word in err, (bad, err)
+
+
+def test_undecodable_builtin_catalog(capsys, tmp_path, monkeypatch):
+    shutil.copytree(data_dir(), tmp_path / "data")
+    bad = tmp_path / "data" / "catalogs" / "S9.json"
+    bad.write_text('{"group": "S9", ')
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    for argv in (["gamma", "9", "sym"], ["catalog", "9", "sym"]):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == 2 and out == "" and err.startswith(f"error: malformed catalog file {bad}: "), err
+    assert run(capsys, "gamma", "9", "alt")[0] == 0
+    bad.unlink()
+    code, out, err = run(capsys, "gamma", "9", "sym")
+    assert (code, out, err) == (2, "", "error: no built-in catalog for S9 (supply a catalog file)\n")
 
 
 def test_gamma_user_catalog_incomplete(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Cycle types: partition enumeration, parity, splitting, and the type families."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from normcov.cycle_types import (
     ClassId,
     CycleType,
     GroupId,
+    GroupKind,
     Parity,
     SplitTag,
     class_universe,
@@ -81,6 +83,16 @@ def test_cycle_type_normalization():
         CycleType((0, 3))
     with pytest.raises(ValueError):
         CycleType.parse("1,2")
+    # any sequence, in any order, is stored as one descending tuple, so equal types hash alike
+    for given in ([3, 1], [1, 3], (1, 3), (3, 1)):
+        t = CycleType(given)
+        assert t == CycleType((3, 1)) and type(t.parts) is tuple and t.parts == (3, 1), given
+        assert hash(t) == hash(CycleType((3, 1)))
+    assert len({CycleType([3, 1]), CycleType((1, 3)), ct(3, 1)}) == 1
+    with pytest.raises(ValueError, match=re.escape("parts must be >= 1, got (3, 0)")):
+        CycleType([0, 3])
+    with pytest.raises(ValueError, match="at least one part"):
+        CycleType([])
 
 
 def test_class_id_validation():
@@ -98,6 +110,23 @@ def test_group_id():
         GroupId.alt(3)
     with pytest.raises(ValueError):
         GroupId.parse("X9")
+
+
+def test_class_and_group_ids_order_totally():
+    # both dataclasses declare order=True, so their enum fields must compare: by value
+    assert SplitTag.NOT_SPLIT < SplitTag.PLUS < SplitTag.MINUS and GroupKind.ALT < GroupKind.SYM
+    for g in (GroupId.alt(9), GroupId.sym(9)):
+        universe = class_universe(g)
+        ordered = sorted(universe)
+        assert len(ordered) == len(universe) and set(ordered) == set(universe)
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
+    a9 = sorted(class_universe(GroupId.alt(9)))
+    assert a9.index(ClassId(ct(9), SplitTag.PLUS)) + 1 == a9.index(ClassId(ct(9), SplitTag.MINUS))
+    mixed = [GroupId.sym(5), GroupId.alt(5), GroupId.sym(3), GroupId.alt(12)]
+    assert sorted(mixed) == [GroupId.alt(5), GroupId.alt(12), GroupId.sym(3), GroupId.sym(5)]
+    assert GroupId.alt(5) < GroupId.sym(5) and GroupId.sym(5) >= GroupId.alt(5)
+    # the order leaves names, str() and .value as they were
+    assert str(ClassId(ct(9), SplitTag.PLUS)) == "[9]+" and GroupKind.SYM.value == "S" and str(GroupId.alt(5)) == "A5"
 
 
 def test_parity_examples():

@@ -41,6 +41,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
+    _generator_records,
     _named,
     catalog_to_json,
     class_coverage,
@@ -430,6 +431,45 @@ def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
             named_group(n, f"S{n}")
         with pytest.raises(CatalogError, match="closure exceeds"):
             contains_type(NamedGroup(n, f"S{n}"), ct(n))
+
+
+@pytest.mark.parametrize(
+    "name, edit, argv, word",
+    [
+        ("M11", lambda rec: rec.pop("generators"), ["11", "named:M11", "[11]"], "no field 'generators'"),
+        ("M11", lambda rec: rec.update(classes="2"), ["11", "named:M11:2", "[11]"], "'classes' must be an integer"),
+        ("M12", lambda rec: rec.update(expected_order="95040"), ["12", "named:M12", "[11,1]"], "'expected_order'"),
+        ("M11", lambda rec: rec["generators"][0][0].__setitem__(0, "1"), ["11", "named:M11", "[11]"], "M11: malformed"),
+        ("M11", lambda rec: rec.update(name=11), ["11", "named:M11", "[11]"], "'name' must be a string"),
+        ("M11", lambda rec: rec.update(degree=[11]), ["11", "named:M11", "[11]"], "'degree' must be an integer"),
+        ("M11", lambda rec: rec.update(generators={}), ["11", "named:M11", "[11]"], "'generators' must be a list"),
+    ],
+)
+def test_malformed_generator_record_is_an_error(capsys, tmp_path, monkeypatch, name, edit, argv, word):
+    # exit 1 means a basic set fails to cover, so bad data must exit 2, not end in a traceback
+    shutil.copytree(data_dir(), tmp_path / "data")
+    gen_file = tmp_path / "data" / "generators.json"
+    records = json.loads(gen_file.read_text())
+    edit(next(rec for rec in records if rec["name"] == name))
+    gen_file.write_text(json.dumps(records))
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    for fmt in ("text", "json"):
+        code = main(["membership", *argv, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and word in captured.err, captured.err
+    with pytest.raises(CatalogError, match=re.escape(word)):
+        contains_type(NamedGroup(int(argv[0]), name), ct(int(argv[0])))
+
+
+def test_generator_data_that_is_no_list_of_records(tmp_path, monkeypatch):
+    shutil.copytree(data_dir(), tmp_path / "data")
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    gen_file = tmp_path / "data" / "generators.json"
+    for text, word in (("{}", "not a list of records"), ('["M11"]', "malformed generator record 1"), ("[", "malformed generator data file")):
+        gen_file.write_text(text)
+        _generator_records.cache_clear()
+        with pytest.raises(CatalogError, match=word):
+            named_group_names()
 
 
 def _spy_on_closure(tmp_path, monkeypatch):
