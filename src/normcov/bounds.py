@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil
 
 from .cycle_types import GroupId, GroupKind
-from .numtheory import Interval, euler_phi, factorize, is_prime, phi_interval, primes_up_to
+from .numtheory import Interval, _phi, _phi_interval, factorize, primes_up_to
 
 __all__ = [
     "BoundReport",
@@ -80,14 +80,20 @@ def totient_lower(g: GroupId) -> Fraction:
     n = g.degree
     if n < 5:
         raise ValueError(f"totient lower bound needs n >= 5, got {n}")
-    phi = euler_phi(n)
+    return _totient_lower(g, factorize(n))
+
+
+def _totient_lower(g: GroupId, fac: list[tuple[int, int]]) -> Fraction:
+    """totient_lower(g), given fac = factorize(g.degree)."""
+    n = g.degree
+    phi = _phi(n, fac)
     if g.kind is GroupKind.SYM:
         if n % 2 == 1:
-            if is_prime(n):
+            if fac == [(n, 1)]:
                 return Fraction(phi, 2)
             return Fraction(phi, 2) + 1
         lo, hi, c = _sym_even_interval(n)
-        count = phi_interval(Interval(lo, hi), n) if hi > lo else 0
+        count = _phi_interval(Interval(lo, hi), fac) if hi > lo else 0
         return Fraction(count, c) + 1
     if n % 2 == 0:
         if n == 8:
@@ -130,22 +136,27 @@ def phi_half_bound(n: int) -> PhiHalfBound:
     prime power (p odd or p = 2 with exponent >= 4) and for pq, and 2 when
     the exponents sum to at least 3. Out-of-scope n raises ValueError.
     """
-    fac = factorize(n)
+    return _phi_half_bound(n, factorize(n))
+
+
+def _phi_half_bound(n: int, fac: list[tuple[int, int]]) -> PhiHalfBound:
+    """phi_half_bound(n), given fac = factorize(n)."""
+    half = _phi(n, fac) // 2
     if len(fac) == 1:
         p, a = fac[0]
         if a == 1:
             if p < 5:
                 raise ValueError(f"prime degree must be >= 5, got {n}")
-            return PhiHalfBound(n, 0, euler_phi(n) // 2, frozenset({GroupKind.SYM}))
+            return PhiHalfBound(n, 0, half, frozenset({GroupKind.SYM}))
         if p == 2:
             if a < 4:
                 raise ValueError(f"powers of two need exponent >= 4, got 2**{a}")
-            return PhiHalfBound(n, 1, euler_phi(n) // 2 + 1, frozenset(GroupKind))
-        return PhiHalfBound(n, 1, euler_phi(n) // 2 + 1, frozenset({GroupKind.SYM}))
+            return PhiHalfBound(n, 1, half + 1, frozenset(GroupKind))
+        return PhiHalfBound(n, 1, half + 1, frozenset({GroupKind.SYM}))
     if len(fac) == 2:
         (_, a), (_, b) = fac
         delta = 1 if a + b == 2 else 2
-        return PhiHalfBound(n, delta, euler_phi(n) // 2 + delta, frozenset(GroupKind))
+        return PhiHalfBound(n, delta, half + delta, frozenset(GroupKind))
     raise ValueError(f"{n} has {len(fac)} distinct prime divisors; at most two supported")
 
 
@@ -184,11 +195,12 @@ def bounds_report(g: GroupId) -> BoundReport:
     n = g.degree
     if n < 4 and not (g.kind is GroupKind.SYM and n == 3):
         raise ValueError(f"bounds need degree >= 4, got {g}")
+    fac = factorize(n)
     sources: list[tuple[str, str]] = []
 
     lowers: list[Fraction] = []
     if n >= 5:
-        tl = totient_lower(g)
+        tl = _totient_lower(g, fac)
         lowers.append(tl)
         sources.append((str(tl), "totient lower bound"))
     else:
@@ -205,7 +217,6 @@ def bounds_report(g: GroupId) -> BoundReport:
     if exact is not None:
         sources.append((str(exact), "small-degree exact value"))
 
-    fac = factorize(n)
     if g.kind is GroupKind.SYM and len(fac) == 1 and fac[0][0] == 2 and fac[0][1] >= 2:
         lo, hi = power_of_two_band(fac[0][1])
         lowers.append(lo)
@@ -213,7 +224,7 @@ def bounds_report(g: GroupId) -> BoundReport:
         sources.append((f"[{lo}, {hi}]", "power-of-two band"))
 
     try:
-        phb = phi_half_bound(n)
+        phb = _phi_half_bound(n, fac)
     except ValueError:
         phb = None
     if phb is not None and phb.applies_to(g.kind):

@@ -61,14 +61,14 @@ class GroupKind(_ByValue):
     ALT = "A"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class CycleType:
     """A partition of n, parts stored as a descending tuple whatever order they come in; names an S_n class."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, reverse=True))
+    def __init__(self, parts) -> None:
+        parts = tuple(sorted(parts, reverse=True))
         if not parts:
             raise ValueError("a cycle type needs at least one part")
         if parts[-1] < 1:

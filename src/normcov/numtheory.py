@@ -71,7 +71,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def _split(m: int) -> list[int]:
     """The prime factors of m > 1, with repeats, when m has none below 1000."""
-    if is_prime(m):
+    if _miller_rabin(m):
         return [m]
     d = _rho(m)
     return _split(d) + _split(m // d)
@@ -124,6 +124,11 @@ def is_prime(n: int) -> bool:
         f += 2
     if top == n:
         return True
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Exact primality of an odd n > 41 with no prime factor up to 1000, by the 13 bases."""
     if n >= _MR_LIMIT:
         raise ValueError(f"{n} has no prime factor up to 1000 and is too large for an exact primality test")
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -156,23 +161,28 @@ def primes_up_to(limit: int) -> list[int]:
 
 def euler_phi(n: int) -> int:
     """Count of integers in 1..n coprime to n."""
-    _check_positive(n)
-    result = n
-    for p, _ in factorize(n):
-        result = result // p * (p - 1)
-    return result
+    return _phi(n, factorize(n))
+
+
+def _phi(n: int, fac: list[tuple[int, int]]) -> int:
+    """euler_phi(n), given fac = factorize(n)."""
+    for p, _ in fac:
+        n = n // p * (p - 1)
+    return n
 
 
 def nu(n: int) -> int:
     """Number of distinct prime divisors of n."""
-    _check_positive(n)
     return len(factorize(n))
 
 
 def moebius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)**nu(n)."""
-    _check_positive(n)
-    fac = factorize(n)
+    return _moebius(factorize(n))
+
+
+def _moebius(fac: list[tuple[int, int]]) -> int:
+    """moebius(n), given fac = factorize(n)."""
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -224,7 +234,8 @@ class TotientReport:
 
 
 def totient_report(n: int) -> TotientReport:
-    return TotientReport(n=n, phi=euler_phi(n), nu=nu(n), mu=moebius(n))
+    fac = factorize(n)
+    return TotientReport(n=n, phi=_phi(n, fac), nu=len(fac), mu=_moebius(fac))
 
 
 _INTERVAL_RE = re.compile(r"^\s*([\[(])\s*([^,\s]+)\s*,\s*([^,\s\])]+)\s*([\])])\s*$")
@@ -308,12 +319,17 @@ def phi_interval(iv: Interval, n: int) -> int:
     _check_positive(n)
     if iv.lo < 0 or iv.hi > n:
         raise ValueError(f"interval {iv} not contained in [0, {n}]")
+    return _phi_interval(iv, factorize(n))
+
+
+def _phi_interval(iv: Interval, fac: list[tuple[int, int]]) -> int:
+    """phi_interval(iv, n), given fac = factorize(n) and iv inside [0, n]."""
     a = max(iv.first_integer(), 1)
     b = iv.last_integer()
     if b < a:
         return 0
     # (moebius(d), d) for every squarefree divisor d of n
     signed = [(1, 1)]
-    for p, _ in factorize(n):
+    for p, _ in fac:
         signed += [(-mu, d * p) for mu, d in signed]
     return sum(mu * (b // d - (a - 1) // d) for mu, d in signed)

@@ -157,6 +157,29 @@ def test_bounds_report_consistency_sweep():
             assert rep.lower_ceil <= rep.exact <= rep.upper, g
 
 
+def test_bounds_report_factors_once(monkeypatch):
+    import normcov.bounds
+    import normcov.numtheory
+
+    calls = []
+    factorize = normcov.numtheory.factorize
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(normcov.numtheory, "factorize", counted)
+    monkeypatch.setattr(normcov.bounds, "factorize", counted)
+    # odd prime, odd composite, 2^e + 1, powers of two, even S_n with n % 3 != 0,
+    # with n % 9 == 3 or 6 and with n % 9 == 0, A_8, and a product of two large primes
+    groups = [S(13), A(13), S(15), A(15), A(9), A(33), S(4), S(8), A(8), S(16), A(16), S(64)]
+    groups += [S(10), S(12), S(18), S(3), A(4), S(100000000520000000627), A(100000000520000000627)]
+    for g in groups:
+        calls.clear()
+        bounds_report(g)
+        assert calls == [g.degree], g
+
+
 def test_power_of_two_band():
     assert power_of_two_band(4) == (Fraction(6, 3), 5)
     lo, hi = power_of_two_band(5)

@@ -418,6 +418,13 @@ def test_bounds_at_a_product_of_two_large_primes():
     assert "exact:       50000000250000000289" in proc.stdout
 
 
+def test_bounds_beyond_the_exact_primality_test_is_refused(capsys):
+    # 2 times the least strong pseudoprime to the 13 Miller-Rabin bases up to 41
+    code, out, err = run(capsys, "bounds", "6634088129359774771923962", "sym")
+    assert (code, out) == (2, "")
+    assert "3317044064679887385961981 has no prime factor up to 1000" in err, err
+
+
 def test_closed_form_name_with_a_huge_prime_is_refused_at_once():
     # a p of more than 4 digits is never tested for primality, at any degree
     p = "100000000000000000039"

@@ -115,6 +115,8 @@ def test_is_prime_on_strong_pseudoprimes():
     psi13 = 1287836182261 * 2575672364521
     with pytest.raises(ValueError, match="too large for an exact primality test"):
         is_prime(psi13)
+    with pytest.raises(ValueError, match="too large for an exact primality test"):
+        factorize(psi13)  # the cofactor goes to Miller-Rabin without trial division
     assert not is_prime(3 * psi13)  # a factor up to 1000 still decides
 
 
