@@ -9,10 +9,10 @@ the usable integer ceiling alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from ._value import Value
 from .cycle_types import GroupId, GroupKind
 from .numtheory import Interval, _phi, _phi_interval, factorize, primes_up_to
 
@@ -104,14 +104,16 @@ def _totient_lower(g: GroupId, fac: list[tuple[int, int]]) -> Fraction:
     return Fraction(phi + 2, 4)
 
 
-@dataclass(frozen=True)
-class PhiHalfBound:
+class PhiHalfBound(Value):
     """The bound phi(n)/2 + delta for n with at most two prime divisors."""
 
-    n: int
-    delta: int
-    bound: int
-    groups: frozenset[GroupKind]
+    __slots__ = ("n", "delta", "bound", "groups")
+
+    def __init__(self, n: int, delta: int, bound: int, groups: frozenset[GroupKind]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "groups", groups)
 
     def applies_to(self, kind: GroupKind) -> bool:
         return kind in self.groups
@@ -168,16 +170,26 @@ def power_of_two_band(alpha: int) -> tuple[Fraction, int]:
     return Fraction(q + 2, 3), q + 1
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """Best available bounds for one group, with the rule behind each value."""
 
-    group: GroupId
-    lower: Fraction
-    lower_ceil: int
-    upper: int
-    exact: int | None
-    sources: tuple[tuple[str, str], ...]
+    __slots__ = ("group", "lower", "lower_ceil", "upper", "exact", "sources")
+
+    def __init__(
+        self,
+        group: GroupId,
+        lower: Fraction,
+        lower_ceil: int,
+        upper: int,
+        exact: int | None,
+        sources: tuple[tuple[str, str], ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "lower_ceil", lower_ceil)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "sources", sources)
 
     def to_json(self) -> dict:
         return {

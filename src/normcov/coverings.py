@@ -8,10 +8,9 @@ found by one lexicographic search over rows of minimal class signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from inspect import signature
 
+from ._value import Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, _check_degree
 from .numtheory import euler_phi, factorize, is_prime
 from .subgroups import (
@@ -43,25 +42,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BasicSet:
+class BasicSet(Value):
     """A proposed basic set: component subgroup classes for one group."""
 
-    group: GroupId
-    components: tuple[SubgroupDescriptor, ...]
-    provenance: str = ""
-    expected_size: int | None = None
+    __slots__ = ("group", "components", "provenance", "expected_size")
 
-    def __post_init__(self) -> None:
-        if not self.components:
+    def __init__(
+        self,
+        group: GroupId,
+        components: tuple[SubgroupDescriptor, ...],
+        provenance: str = "",
+        expected_size: int | None = None,
+    ) -> None:
+        if not components:
             raise ValueError("a basic set needs at least one component")
-        if len(set(self.components)) != len(self.components):
+        if len(set(components)) != len(components):
             raise ValueError("components must be pairwise distinct")
-        for d in self.components:
-            if d.degree != self.group.degree:
-                raise ValueError(f"component {d} does not act on {self.group.degree} points")
-            if self.group.kind is GroupKind.ALT and isinstance(d, FullAlternating):
+        for d in components:
+            if d.degree != group.degree:
+                raise ValueError(f"component {d} does not act on {group.degree} points")
+            if group.kind is GroupKind.ALT and isinstance(d, FullAlternating):
                 raise ValueError("A_n is the whole group for alternating degrees")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "expected_size", expected_size)
 
     def to_json(self) -> dict:
         obj = {
@@ -91,14 +96,22 @@ class BasicSet:
         )
 
 
-@dataclass
-class CoverReport:
+class CoverReport(Value):
     """Outcome of verifying one basic set against the full class universe."""
 
-    group: GroupId
-    covered: bool
-    uncovered: tuple[ClassId, ...]
-    components: tuple[SubgroupDescriptor, ...]
+    __slots__ = ("group", "covered", "uncovered", "components")
+
+    def __init__(
+        self,
+        group: GroupId,
+        covered: bool,
+        uncovered: tuple[ClassId, ...],
+        components: tuple[SubgroupDescriptor, ...],
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "uncovered", uncovered)
+        object.__setattr__(self, "components", components)
 
     @property
     def coverage_matrix(self) -> dict[SubgroupDescriptor, frozenset[ClassId]]:
@@ -291,9 +304,6 @@ _FAMILIES = {
 }
 
 
-_SIGNATURES = {family: signature(builder) for family, builder in _FAMILIES.items()}
-
-
 def delta_families() -> list[str]:
     return sorted(_FAMILIES)
 
@@ -307,10 +317,15 @@ def construct_delta(family: str, **params) -> BasicSet:
     builder = _FAMILIES.get(family)
     if builder is None:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(delta_families())}")
-    try:
-        _SIGNATURES[family].bind(**params)
-    except TypeError as exc:
-        raise ValueError(f"family {family}: {exc}") from None
+    # the builder's parameters, read off its code object; the last len(__defaults__) are optional
+    code = builder.__code__
+    names = code.co_varnames[: code.co_argcount]
+    missing = [key for key in names[: len(names) - len(builder.__defaults__ or ())] if key not in params]
+    if missing:
+        raise ValueError(f"family {family}: missing a required argument: {missing[0]!r}")
+    unexpected = [key for key in params if key not in names]
+    if unexpected:
+        raise ValueError(f"family {family}: got an unexpected keyword argument {unexpected[0]!r}")
     return builder(**params)
 
 
@@ -384,13 +399,15 @@ def mandatory_components(g: GroupId, c: Catalog) -> tuple[SubgroupDescriptor, ..
     return tuple(d for d, row in zip(descs, rows) if row & ~shared)
 
 
-@dataclass(frozen=True)
-class GammaResult:
+class GammaResult(Value):
     """Result of the exact set cover: the minimum size and one witness."""
 
-    gamma: int
-    witness: BasicSet
-    exact: bool
+    __slots__ = ("gamma", "witness", "exact")
+
+    def __init__(self, gamma: int, witness: BasicSet, exact: bool) -> None:
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "exact", exact)
 
 
 def exact_gamma(g: GroupId, c: Catalog) -> GammaResult:

@@ -8,12 +8,12 @@ bound arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
 
+from ._value import Ordered
 from .numtheory import Interval, a_of_n
 
 __all__ = [
@@ -61,11 +61,10 @@ class GroupKind(_ByValue):
     ALT = "A"
 
 
-@dataclass(frozen=True, order=True, init=False)
-class CycleType:
+class CycleType(Ordered):
     """A partition of n, parts stored as a descending tuple whatever order they come in; names an S_n class."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts) -> None:
         parts = tuple(sorted(parts, reverse=True))
@@ -101,32 +100,32 @@ class CycleType:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-@dataclass(frozen=True, order=True)
-class ClassId:
+class ClassId(Ordered):
     """A conjugacy class label: cycle type plus a split tag for A_n classes."""
 
-    ctype: CycleType
-    split_tag: SplitTag = SplitTag.NOT_SPLIT
+    __slots__ = ("ctype", "split_tag")
 
-    def __post_init__(self) -> None:
-        if self.split_tag is not SplitTag.NOT_SPLIT and not is_split(self.ctype):
-            raise ValueError(f"type {self.ctype} does not split; tag {self.split_tag} invalid")
+    def __init__(self, ctype: CycleType, split_tag: SplitTag = SplitTag.NOT_SPLIT) -> None:
+        if split_tag is not SplitTag.NOT_SPLIT and not is_split(ctype):
+            raise ValueError(f"type {ctype} does not split; tag {split_tag} invalid")
+        object.__setattr__(self, "ctype", ctype)
+        object.__setattr__(self, "split_tag", split_tag)
 
     def __str__(self) -> str:
         return f"{self.ctype}{self.split_tag.value}"
 
 
-@dataclass(frozen=True, order=True)
-class GroupId:
+class GroupId(Ordered):
     """S_n or A_n, identified by kind and degree."""
 
-    kind: GroupKind
-    degree: int
+    __slots__ = ("kind", "degree")
 
-    def __post_init__(self) -> None:
-        floor_deg = 3 if self.kind is GroupKind.SYM else 4
-        if self.degree < floor_deg:
-            raise ValueError(f"{self.kind.value}_n needs degree >= {floor_deg}, got {self.degree}")
+    def __init__(self, kind: GroupKind, degree: int) -> None:
+        floor_deg = 3 if kind is GroupKind.SYM else 4
+        if degree < floor_deg:
+            raise ValueError(f"{kind.value}_n needs degree >= {floor_deg}, got {degree}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "degree", degree)
 
     @classmethod
     def sym(cls, n: int) -> "GroupId":

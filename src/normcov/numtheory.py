@@ -8,10 +8,11 @@ number used in a bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import ceil, floor, gcd
+
+from ._value import Value
 
 __all__ = [
     "Interval",
@@ -223,14 +224,16 @@ def p0_of_n(n: int) -> int:
     return next(p for p in count(2) if n % p and is_prime(p))
 
 
-@dataclass(frozen=True)
-class TotientReport:
+class TotientReport(Value):
     """phi, nu and mu of a single integer, bundled."""
 
-    n: int
-    phi: int
-    nu: int
-    mu: int
+    __slots__ = ("n", "phi", "nu", "mu")
+
+    def __init__(self, n: int, phi: int, nu: int, mu: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "mu", mu)
 
 
 def totient_report(n: int) -> TotientReport:
@@ -241,26 +244,25 @@ def totient_report(n: int) -> TotientReport:
 _INTERVAL_RE = re.compile(r"^\s*([\[(])\s*([^,\s]+)\s*,\s*([^,\s\])]+)\s*([\])])\s*$")
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """An interval with exact rational endpoints, each open or closed.
 
     Defaults describe the half-open interval [lo, hi) which is the common
     shape for the coprime-counting bounds.
     """
 
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool = False
-    hi_open: bool = True
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo < 0:
-            raise ValueError(f"interval endpoints must be nonnegative, got lo={self.lo}")
-        if self.lo > self.hi:
-            raise ValueError(f"empty orientation: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = True) -> None:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo < 0:
+            raise ValueError(f"interval endpoints must be nonnegative, got lo={lo}")
+        if lo > hi:
+            raise ValueError(f"empty orientation: lo={lo} > hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_open", lo_open)
+        object.__setattr__(self, "hi_open", hi_open)
 
     @classmethod
     def parse(cls, text: str) -> "Interval":

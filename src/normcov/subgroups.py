@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Union
 
+from ._value import Ordered, Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
 from .numtheory import divisors, is_prime
 from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate
@@ -65,74 +64,74 @@ class CatalogError(ValueError):
     """Missing or malformed subgroup data."""
 
 
-@dataclass(frozen=True, order=True)
-class Intransitive:
+class Intransitive(Ordered):
     """The class of S_k x S_{n-k}, the stabilizer of a k-subset."""
 
-    degree: int
-    k: int
+    __slots__ = ("degree", "k")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.degree // 2:
-            raise ValueError(
-                f"intransitive part k={self.k} must satisfy 1 <= k <= {self.degree // 2}"
-            )
+    def __init__(self, degree: int, k: int) -> None:
+        if not 1 <= k <= degree // 2:
+            raise ValueError(f"intransitive part k={k} must satisfy 1 <= k <= {degree // 2}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "k", k)
 
     def __str__(self) -> str:
         return f"intransitive:{self.k}"
 
 
-@dataclass(frozen=True, order=True)
-class Imprimitive:
+class Imprimitive(Ordered):
     """The class of S_b wr S_c, the stabilizer of a partition into c blocks of size b."""
 
-    degree: int
-    b: int
-    c: int
+    __slots__ = ("degree", "b", "c")
 
-    def __post_init__(self) -> None:
-        if self.b < 2 or self.c < 2 or self.b * self.c != self.degree:
-            raise ValueError(f"imprimitive shape b={self.b}, c={self.c} invalid for degree {self.degree}")
+    def __init__(self, degree: int, b: int, c: int) -> None:
+        if b < 2 or c < 2 or b * c != degree:
+            raise ValueError(f"imprimitive shape b={b}, c={c} invalid for degree {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def __str__(self) -> str:
         return f"imprimitive:{self.b},{self.c}"
 
 
-@dataclass(frozen=True, order=True)
-class FullAlternating:
+class FullAlternating(Ordered):
     """A_n as a subgroup of S_n."""
 
-    degree: int
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int) -> None:
+        object.__setattr__(self, "degree", degree)
 
     def __str__(self) -> str:
         return "alternating"
 
 
-@dataclass(frozen=True, order=True)
-class NamedGroup:
+class NamedGroup(Ordered):
     """A named group: a closed form or a generator record; cls selects one of its conjugacy classes."""
 
-    degree: int
-    name: str
-    cls: int = 1
+    __slots__ = ("degree", "name", "cls")
 
-    def __post_init__(self) -> None:
-        if self.cls not in (1, 2):
-            raise ValueError(f"named class index must be 1 or 2, got {self.cls}")
+    def __init__(self, degree: int, name: str, cls: int = 1) -> None:
+        if cls not in (1, 2):
+            raise ValueError(f"named class index must be 1 or 2, got {cls}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cls", cls)
 
     def __str__(self) -> str:
         return f"named:{self.name}" + (f":{self.cls}" if self.cls != 1 else "")
 
 
-@dataclass(frozen=True, order=True)
-class IntersectAlt:
+class IntersectAlt(Ordered):
     """The intersection of an S_n-level class with A_n."""
 
-    inner: Union[Intransitive, Imprimitive, NamedGroup]
+    __slots__ = ("inner",)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.inner, (FullAlternating, IntersectAlt)):
+    def __init__(self, inner: Union[Intransitive, Imprimitive, NamedGroup]) -> None:
+        if isinstance(inner, (FullAlternating, IntersectAlt)):
             raise ValueError("intersect_alt must wrap an S_n-level class other than A_n")
+        object.__setattr__(self, "inner", inner)
 
     @property
     def degree(self) -> int:
@@ -236,8 +235,9 @@ def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
 
 # --- named group registry -------------------------------------------------
 
-# Resolved once: every data_dir() call reads it, and resolving costs ~0.1 ms.
-_PACKAGE_DATA = Path(resources.files("normcov") / "data")
+# What importlib.resources.files("normcov") / "data" gives for a package on disk,
+# without importing importlib.resources, which loads inspect on Python 3.12+.
+_PACKAGE_DATA = Path(__file__).parent / "data"
 
 
 def data_dir() -> Path:
@@ -560,20 +560,20 @@ def class_coverage(d: SubgroupDescriptor, g: GroupId) -> frozenset[ClassId]:
 # --- catalogs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Value):
     """Descriptors for the (maximal) subgroup classes of one group."""
 
-    group: GroupId
-    descriptors: tuple[SubgroupDescriptor, ...]
-    complete: bool
+    __slots__ = ("group", "descriptors", "complete")
 
-    def __post_init__(self) -> None:
-        if len(set(self.descriptors)) != len(self.descriptors):
+    def __init__(self, group: GroupId, descriptors: tuple[SubgroupDescriptor, ...], complete: bool) -> None:
+        if len(set(descriptors)) != len(descriptors):
             raise CatalogError("catalog descriptors must be pairwise distinct")
-        for d in self.descriptors:
-            if d.degree != self.group.degree:
-                raise CatalogError(f"descriptor {d} does not match degree {self.group.degree}")
+        for d in descriptors:
+            if d.degree != group.degree:
+                raise CatalogError(f"descriptor {d} does not match degree {group.degree}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "descriptors", descriptors)
+        object.__setattr__(self, "complete", complete)
 
 
 def catalog_from_json(obj: dict) -> Catalog:

@@ -155,6 +155,9 @@ def test_verify_unreadable_file(capsys, tmp_path):
         (["--family", "upper_alt_odd", "--n", "10000001"], "degree 10000001 outside enumeration bound 1..60"),
         # the builder's own hypotheses are still checked first
         (["--family", "upper_sym", "--n", "61"], "must be composite"),
+        # a parameter the family does not take, and one it needs, named from the builder's own signature
+        (["--family", "sym_prime", "--p", "7", "--n", "9"], "unexpected keyword argument 'n'"),
+        (["--family", "two_primes", "--p", "3"], "missing a required argument: 'q'"),
     ],
 )
 def test_verify_bad_family_parameters(capsys, argv, word):

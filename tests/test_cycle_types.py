@@ -113,7 +113,7 @@ def test_group_id():
 
 
 def test_class_and_group_ids_order_totally():
-    # both dataclasses declare order=True, so their enum fields must compare: by value
+    # both classes order by their fields, so their enum fields must compare: by value
     assert SplitTag.NOT_SPLIT < SplitTag.PLUS < SplitTag.MINUS and GroupKind.ALT < GroupKind.SYM
     for g in (GroupId.alt(9), GroupId.sym(9)):
         universe = class_universe(g)
