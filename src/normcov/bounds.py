@@ -105,11 +105,15 @@ def _totient_lower(g: GroupId, fac: list[tuple[int, int]]) -> Fraction:
 
 
 class PhiHalfBound(Value):
-    """The bound phi(n)/2 + delta for n with at most two prime divisors."""
+    """The bound phi(n)/2 + delta for n with at most two prime divisors.
+
+    groups holds the kinds it applies to, in GroupKind order, so the repr is
+    the same in every process.
+    """
 
     __slots__ = ("n", "delta", "bound", "groups")
 
-    def __init__(self, n: int, delta: int, bound: int, groups: frozenset[GroupKind]) -> None:
+    def __init__(self, n: int, delta: int, bound: int, groups: tuple[GroupKind, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "bound", bound)
@@ -149,16 +153,16 @@ def _phi_half_bound(n: int, fac: list[tuple[int, int]]) -> PhiHalfBound:
         if a == 1:
             if p < 5:
                 raise ValueError(f"prime degree must be >= 5, got {n}")
-            return PhiHalfBound(n, 0, half, frozenset({GroupKind.SYM}))
+            return PhiHalfBound(n, 0, half, (GroupKind.SYM,))
         if p == 2:
             if a < 4:
                 raise ValueError(f"powers of two need exponent >= 4, got 2**{a}")
-            return PhiHalfBound(n, 1, half + 1, frozenset(GroupKind))
-        return PhiHalfBound(n, 1, half + 1, frozenset({GroupKind.SYM}))
+            return PhiHalfBound(n, 1, half + 1, tuple(GroupKind))
+        return PhiHalfBound(n, 1, half + 1, (GroupKind.SYM,))
     if len(fac) == 2:
         (_, a), (_, b) = fac
         delta = 1 if a + b == 2 else 2
-        return PhiHalfBound(n, delta, half + delta, frozenset(GroupKind))
+        return PhiHalfBound(n, delta, half + delta, tuple(GroupKind))
     raise ValueError(f"{n} has {len(fac)} distinct prime divisors; at most two supported")
 
 

@@ -2,10 +2,13 @@
 
 Enumeration is the canonical representation here: every group this package
 materializes has order at most 10**6. Dimino's closure lists byte-encoded
-elements coset by coset; spectra and A_n classes are read off a slice of them
-that holds a conjugate of every element (see _stabiliser_slice), built once.
-The raw readers _raw_spectrum and _raw_alt_classes take that list, give plain
-tuples and cache nothing; type_spectrum and alt_class_coverage wrap them.
+elements coset by coset. Spectra and A_n classes are read off a two-point
+slice that holds a conjugate of every element (see _two_point_slice). It is
+built from the generators and the order alone: the point stabiliser G_0 is
+closed from Schreier generators and the whole group never is, so M12 gives a
+slice of 2,880 elements from a stabiliser of 7,920. The raw readers
+_raw_spectrum and _raw_alt_classes take the slice, give plain tuples and cache
+nothing; type_spectrum and alt_class_coverage wrap them.
 """
 
 from __future__ import annotations
@@ -249,30 +252,68 @@ def closure(degree: int, gens: Sequence[Perm], cap: int = DEFAULT_CLOSURE_CAP) -
     return GeneratedGroup(degree, tuple(gens), tuple(order))
 
 
-def _stabiliser_slice(g: GeneratedGroup) -> list[bytes]:
-    """The elements e with e(0) least in its orbit under G_0, the stabiliser of 0.
-
-    Conjugating x by h in G_0 sends x(0) to h(x(0)), so every element is
-    conjugate under G_0 to one in the slice: same cycle type, and same A_n
-    class when G is all even.
-    """
-    stab = [e for e in g._elements if e[0] == 0]
-    least, placed = bytearray(g.degree), set()
-    for p in range(g.degree):
+def _least_points(degree: int, elements: list[bytes]) -> bytearray:
+    """Flags on the points: 1 where the point is least in its orbit under the group listed by elements."""
+    least, placed = bytearray(degree), set()
+    for p in range(degree):
         if p not in placed:
             least[p] = 1
-            placed.update(map(itemgetter(p), stab))
-    return [e for e in g._elements if least[e[0]]]
+            placed.update(map(itemgetter(p), elements))
+    return least
+
+
+def _two_point_slice(degree: int, gens: Sequence[Perm], order: int) -> list[bytes]:
+    """Elements of G = <gens>, of the given order, among which lies a conjugate of every element.
+
+    The orbit 0^G comes with a transversal, u_r(0) = r, and Schreier's lemma
+    generates G_0, the stabiliser of 0, by the u_s(p)^-1 s u_p. G_0 is closed
+    under the cap order // |0^G| and must give |0^G| * |G_0| == order; else
+    ClosureCapExceeded or ValueError. Conjugating e by h in G_0 sends e(0) to
+    h(e(0)), so only the cosets u_r G_0 with r least in its G_0-orbit are kept.
+    In coset r, let q = r, or q = 1 if r = 0: conjugating by h in G_{0,q}
+    keeps e(0) and sends e(q) to h(e(q)), so only the e with e(q) least in
+    its G_{0,q}-orbit are kept. Conjugation keeps cycle types, and A_n
+    classes when G is all even.
+    """
+    pad = bytes(range(degree, 256))
+    tables = [bytes(g.images) + pad for g in gens]
+    ident = bytes(range(degree))
+    reps, todo = {0: ident}, [0]
+    for p in todo:
+        for t in tables:
+            if t[p] not in reps:
+                reps[t[p]] = reps[p].translate(t)
+                todo.append(t[p])
+    inverses = {r: bytes.maketrans(u, ident) for r, u in reps.items()}
+    schreier = {u.translate(t).translate(inverses[t[p]]) for p, u in reps.items() for t in tables}
+    schreier.discard(ident)
+    stab = closure(degree, [Perm(x) for x in sorted(schreier)], order // len(reps)).element_images()
+    if len(reps) * len(stab) != order:
+        raise ValueError(f"closure produced order {len(reps) * len(stab)}, expected {order}")
+    least = _least_points(degree, stab)
+    out = []
+    for r in sorted(reps):
+        if not least[r]:
+            continue
+        q = r or 1
+        if q == degree:  # degree 1: G is trivial
+            out += stab
+            continue
+        least_q = _least_points(degree, [h for h in stab if h[q] == q])
+        u = reps[r]
+        keep, table = bytes(least_q[u[p]] for p in range(degree)), u + pad
+        out += [h.translate(table) for h in stab if keep[h[q]]]
+    return out
 
 
 def _raw_spectrum(elements: list[bytes]) -> frozenset[tuple[int, ...]]:
-    """The descending cycle lengths of elements, a group's stabiliser slice: the group's spectrum."""
+    """The descending cycle lengths of elements, a group's two-point slice: the group's spectrum."""
     return frozenset(map(_cycle_lengths, elements))
 
 
 def type_spectrum(g: GeneratedGroup) -> frozenset[CycleType]:
     """The set of cycle types realized by elements of the group."""
-    return frozenset(map(CycleType, _raw_spectrum(_stabiliser_slice(g))))
+    return frozenset(map(CycleType, _raw_spectrum(_two_point_slice(g.degree, g.generators, g.order))))
 
 
 def canonical_split_rep(t: CycleType) -> Perm:
@@ -316,7 +357,7 @@ def _raw_alt_classes(
     """The A_n classes, as (parts, split tag), met by an all-even group with this slice and raw spectrum.
 
     A type that does not split is one class. The split types are looked up
-    in the stabiliser slice, which is left once each has shown both tags.
+    in the two-point slice, which is left once each has shown both tags.
     """
     open_types = {t for t in types if _splits(t)}
     classes = {(t, SplitTag.NOT_SPLIT) for t in types - open_types}
@@ -335,11 +376,11 @@ def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
     """All A_n classes met by a group of even permutations.
 
     Raises if a generator is odd; intersect with the alternating group first.
-    Reads the stabiliser slice: conjugating by the even G_0 keeps A_n classes.
+    Reads the two-point slice: conjugating by the even G_0 keeps A_n classes.
     """
     if not g.all_even():
         raise ValueError("group contains odd permutations; intersect with A_n first")
-    elements = _stabiliser_slice(g)
+    elements = _two_point_slice(g.degree, g.generators, g.order)
     return frozenset(ClassId(CycleType(t), tag) for t, tag in _raw_alt_classes(elements, _raw_spectrum(elements)))
 
 

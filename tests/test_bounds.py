@@ -100,8 +100,8 @@ def test_phi_half_bound_exactness_flags():
     assert phi_half_bound(20).exact_for(GroupKind.ALT)
     assert phi_half_bound(16).exact_for(GroupKind.ALT)
     assert not phi_half_bound(16).exact_for(GroupKind.SYM)
-    assert phi_half_bound(9).groups == frozenset({GroupKind.SYM})
-    assert phi_half_bound(7).groups == frozenset({GroupKind.SYM})
+    assert phi_half_bound(9).groups == (GroupKind.SYM,)
+    assert phi_half_bound(7).groups == (GroupKind.SYM,)
     # degree 12 is the documented exception: the bound 4 is not attained
     assert phi_half_bound(12).bound == 4
     assert not phi_half_bound(12).exact_for(GroupKind.ALT)

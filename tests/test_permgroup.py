@@ -335,16 +335,30 @@ def test_slice_matches_every_element_for_records():
             assert {t for t in even if alt_rule(t.parts)} == {t for t in types if t in even}, name
 
 
+def _random_partial_perm(rng, n):
+    """A random permutation of a random subset of the points, fixing the others."""
+    moved = rng.sample(range(n), rng.randint(0, n))
+    imgs = list(range(n))
+    for p, q in zip(moved, rng.sample(moved, len(moved))):
+        imgs[p] = q
+    return Perm(imgs)
+
+
 def test_slice_matches_every_element_when_stabiliser_has_many_orbits():
+    # degree 1 has no point 2 to cut on, and in degree 2 it is the only other point;
+    # two generators that each move a random subset give G_1 and G_{1,q} several orbits
     rng = random.Random(SEED)
-    for n in range(3, 10):
+    for n in range(1, 10):
         cases = [direct_product_gens(n, k) for k in range(1, n)]
         cases += [wreath_gens(n, b, n // b) for b in divisors(n) if 1 < b < n]
         for _ in range(4):
             imgs = list(range(n))
             rng.shuffle(imgs)
             cases.append([Perm(imgs)])
-        cases.append([Perm.from_cycles(n, [[2, 3]])])  # fixes point 1, the stabiliser is everything
+        for _ in range(6):
+            cases.append([_random_partial_perm(rng, n), _random_partial_perm(rng, n)])
+        if n >= 3:
+            cases.append([Perm.from_cycles(n, [[2, 3]])])  # fixes point 1, the stabiliser is everything
         for gens in cases:
             for g in (gens, _even_part(gens)):
                 grp = closure(n, g)

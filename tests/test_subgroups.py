@@ -24,6 +24,7 @@ from normcov.cli import main
 from normcov.numtheory import primes_up_to
 from normcov.permgroup import (
     Perm,
+    _two_point_slice,
     alt_class_coverage,
     closure,
     cycle_type_of,
@@ -434,6 +435,33 @@ def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name, degree, order, word",
+    [
+        ("M12", 12, 190080, "M12: closure produced order 95040, expected 190080"),
+        # 169 is no multiple of the orbit length 7, so the stabiliser's cap 169 // 7 is its order 24
+        ("PSL2(7)", 7, 169, "PSL2(7): closure produced order 168, expected 169"),
+        ("PSL2(7)", 7, 167, "PSL2(7): closure exceeds the expected order 167"),
+    ],
+)
+def test_generator_record_with_a_wrong_order_refused(capsys, tmp_path, monkeypatch, name, degree, order, word):
+    # the descriptor reads the point stabiliser and named_group closes the whole group: both refuse alike
+    shutil.copytree(data_dir(), tmp_path / "data")
+    gen_file = tmp_path / "data" / "generators.json"
+    records = json.loads(gen_file.read_text())
+    next(rec for rec in records if rec["name"] == name)["expected_order"] = order
+    gen_file.write_text(json.dumps(records))
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    with pytest.raises(CatalogError, match=re.escape(word)):
+        named_group(degree, name)
+    for cls in (1, 2):
+        with pytest.raises(CatalogError, match=re.escape(word)):
+            contains_type(NamedGroup(degree, name, cls), ct(degree))
+        code = main(["membership", str(degree), str(NamedGroup(degree, name, cls)), f"[{degree}]"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and word in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
     "name, edit, argv, word",
     [
         ("M11", lambda rec: rec.pop("generators"), ["11", "named:M11", "[11]"], "no field 'generators'"),
@@ -472,27 +500,27 @@ def test_generator_data_that_is_no_list_of_records(tmp_path, monkeypatch):
             named_group_names()
 
 
-def _spy_on_closure(tmp_path, monkeypatch):
-    """A fresh data directory, so fresh cache keys, and the list of generators closed from now on."""
+def _spy_on_slice(tmp_path, monkeypatch):
+    """A fresh data directory, so fresh cache keys, and the list of generators a descriptor resolves from now on."""
     shutil.copytree(data_dir(), tmp_path / "data")
     monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
     closed = []
 
     def spy(degree, gens, *args):
         closed.append((degree, [g.images for g in gens]))
-        return closure(degree, gens, *args)
+        return _two_point_slice(degree, gens, *args)
 
-    monkeypatch.setattr("normcov.subgroups.closure", spy)
+    monkeypatch.setattr("normcov.subgroups._two_point_slice", spy)
     return closed
 
 
 def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
-    # only class-1 generators may be closed; named_group closes on every call, so its oracle comes first
+    # only class-1 generators may be resolved; named_group closes the whole group, never through the slice
     want = alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
         ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
     }
     records = {r["name"]: r for r in json.loads((data_dir() / "generators.json").read_text())}
-    closed = _spy_on_closure(tmp_path, monkeypatch)
+    closed = _spy_on_slice(tmp_path, monkeypatch)
     d = NamedGroup(9, "PGammaL2(8)", 2)
     assert class_coverage(d, GroupId.alt(9)) == want
     assert contains_type(d, ct(9)) and contains_type(NamedGroup(8, "AGL3(2)", 2), ct(7, 1))
@@ -505,7 +533,7 @@ def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
 def test_named_descriptor_closes_class_one_once(tmp_path, monkeypatch, capsys):
     # every question on M11, either class, bare or under alt:, reads one resolution of class 1
     record = next(r for r in json.loads((data_dir() / "generators.json").read_text()) if r["name"] == "M11")
-    closed = _spy_on_closure(tmp_path, monkeypatch)
+    closed = _spy_on_slice(tmp_path, monkeypatch)
     answers, codes = [], []
     for cls in (1, 2):
         for d in (NamedGroup(11, "M11", cls), IntersectAlt(NamedGroup(11, "M11", cls))):

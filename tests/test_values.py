@@ -80,7 +80,7 @@ CASES = {
     ),
     "PhiHalfBound": (
         lambda: phi_half_bound(7),
-        "PhiHalfBound(n=7, delta=0, bound=3, groups=frozenset({<GroupKind.SYM: 'S'>}))",
+        "PhiHalfBound(n=7, delta=0, bound=3, groups=(<GroupKind.SYM: 'S'>,))",
     ),
     "BoundReport": (
         lambda: bounds_report(GroupId.sym(7)),

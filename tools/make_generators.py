@@ -2,7 +2,10 @@
 """Regenerate src/normcov/data/generators.json.
 
 Each record carries explicit 1-indexed cycle notation plus the group order the
-closure must reproduce before the group is considered usable. Only groups
+closure must reproduce before the group is considered usable. The whole group
+is closed here, and its order must also equal the orbit-stabiliser order
+|1^G| * |G_1| that normcov's descriptors read, with G_1 closed from Schreier
+generators; so both order checks are run on every record. Only groups
 without a closed-form spectrum have a record: AGL1(p) and PGL2(p) are served
 from their closed forms in normcov.subgroups.
 Run from the repository root:  python tools/make_generators.py
@@ -16,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from normcov.permgroup import Perm, closure, cycles_of  # noqa: E402
+from normcov.permgroup import ClosureCapExceeded, Perm, _two_point_slice, closure, cycles_of  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "normcov" / "data" / "generators.json"
 
@@ -198,6 +201,10 @@ def main() -> None:
         grp = closure(degree, gens)
         if grp.order != expected_order:
             raise SystemExit(f"{name}: closure order {grp.order} != expected {expected_order}")
+        try:
+            _two_point_slice(degree, gens, grp.order)
+        except (ClosureCapExceeded, ValueError) as exc:
+            raise SystemExit(f"{name}: orbit-stabiliser order disagrees with the closure: {exc}") from None
         records.append(
             {
                 "name": name,
