@@ -9,9 +9,10 @@ found by one lexicographic search over rows of minimal class signatures.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from ._value import Value
-from .cycle_types import ClassId, CycleType, GroupId, GroupKind, _check_degree
+from .cycle_types import MAX_PARTITION_DEGREE, ClassId, CycleType, GroupId, GroupKind, _check_degree, _group_kind
 from .numtheory import euler_phi, factorize, is_prime
 from .subgroups import (
     Catalog,
@@ -164,23 +165,28 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _kind(group: str | GroupKind) -> GroupKind:
-    if isinstance(group, GroupKind):
-        return group
-    low = str(group).lower()
-    if low in ("sym", "s"):
-        return GroupKind.SYM
-    if low in ("alt", "a"):
-        return GroupKind.ALT
-    raise ValueError(f"unknown group kind {group!r}")
+def _power_degree(*powers: tuple[int, int]) -> int:
+    """The degree prod p**e, each p >= 2, checked against the bound; past 4096 doublings it is refused uncomputed."""
+    # a degree computed here has at most 8192 bits, so its refusal stays within Python's 4300 printable digits
+    if sum(e * (p.bit_length() - 1) for p, e in powers) > 4096:
+        written = " * ".join(f"{p}**{e}" for p, e in powers)
+        raise ValueError(f"degree {written} outside enumeration bound 1..{MAX_PARTITION_DEGREE}")
+    n = prod(p**e for p, e in powers)
+    _check_degree(n)
+    return n
 
 
-def _coprime_family(kind: GroupKind, n: int, tops: list, primes: tuple, provenance: str, size: int) -> BasicSet:
-    """The tops, then S_k x S_{n-k} for each k < n/2 prime to all the primes; each met with A_n for A_n."""
-    comps = tops + [Intransitive(n, k) for k in range(1, (n + 1) // 2) if all(k % p for p in primes)]
-    if kind is GroupKind.ALT:
+def _prime_to(n: int, *primes: int) -> list[int]:
+    """Every k < n/2 prime to each of primes."""
+    return [k for k in range(1, (n + 1) // 2) if all(k % p for p in primes)]
+
+
+def _family(g: GroupId, tops: list, ks, provenance: str, size: int) -> BasicSet:
+    """Every numeric family: the tops, then S_k x S_{n-k} for each k in ks; each met with A_n for A_n."""
+    comps = tops + [Intransitive(g.degree, k) for k in ks]
+    if g.kind is GroupKind.ALT:
         comps = [IntersectAlt(d) for d in comps]
-    return BasicSet(GroupId(kind, n), tuple(comps), provenance, size)
+    return BasicSet(g, tuple(comps), provenance, size)
 
 
 def _delta_upper_sym(n: int, big_blocks: bool = False) -> BasicSet:
@@ -188,58 +194,40 @@ def _delta_upper_sym(n: int, big_blocks: bool = False) -> BasicSet:
     _check_degree(n)
     p = factorize(n)[0][0]
     wreath = Imprimitive(n, n // p, p) if big_blocks else Imprimitive(n, p, n // p)
-    size = 1 + n * (p - 1) // (2 * p)
-    blocks = ", big blocks" if big_blocks else ""
-    return _coprime_family(GroupKind.SYM, n, [wreath], (p,), f"upper_sym(n={n}, p={p}{blocks})", size)
+    provenance = f"upper_sym(n={n}, p={p}{', big blocks' if big_blocks else ''})"
+    return _family(GroupId.sym(n), [wreath], _prime_to(n, p), provenance, 1 + n * (p - 1) // (2 * p))
 
 
 def _delta_upper_alt_even(n: int, big_blocks: bool = False) -> BasicSet:
     _require(n >= 4 and n % 2 == 0, f"n must be even and >= 4, got {n}")
     _check_degree(n)
     wreath = Imprimitive(n, n // 2, 2) if big_blocks else Imprimitive(n, 2, n // 2)
-    blocks = ", big blocks" if big_blocks else ""
-    return _coprime_family(GroupKind.ALT, n, [wreath], (2,), f"upper_alt_even(n={n}{blocks})", (n + 4) // 4)
+    provenance = f"upper_alt_even(n={n}{', big blocks' if big_blocks else ''})"
+    return _family(GroupId.alt(n), [wreath], _prime_to(n, 2), provenance, (n + 4) // 4)
 
 
 def _delta_upper_alt_odd(n: int) -> BasicSet:
     _require(n >= 5 and n % 2 == 1, f"n must be odd and >= 5, got {n}")
     _check_degree(n)
-    if is_prime(n):
-        k_top: SubgroupDescriptor = NamedGroup(n, f"AGL1({n})")
-    else:
-        q = factorize(n)[0][0]
-        k_top = Imprimitive(n, q, n // q)
-    comps: list[SubgroupDescriptor] = [IntersectAlt(k_top)]
-    comps += [IntersectAlt(Intransitive(n, k)) for k in range(1, n // 3 + 1)]
-    return BasicSet(
-        group=GroupId.alt(n),
-        components=tuple(comps),
-        provenance=f"upper_alt_odd(n={n})",
-        expected_size=(n + 3) // 3,
-    )
+    q = factorize(n)[0][0]
+    top = NamedGroup(n, f"AGL1({n})") if q == n else Imprimitive(n, q, n // q)
+    return _family(GroupId.alt(n), [top], range(1, n // 3 + 1), f"upper_alt_odd(n={n})", (n + 3) // 3)
 
 
 def _delta_sym_prime(p: int) -> BasicSet:
     _require(is_prime(p) and p >= 5, f"p must be a prime >= 5, got {p}")
     _check_degree(p)
-    comps: list[SubgroupDescriptor] = [NamedGroup(p, f"AGL1({p})")]
-    comps += [Intransitive(p, k) for k in range(2, (p - 1) // 2 + 1)]
-    return BasicSet(
-        group=GroupId.sym(p),
-        components=tuple(comps),
-        provenance=f"sym_prime(p={p})",
-        expected_size=(p - 1) // 2,
-    )
+    top = NamedGroup(p, f"AGL1({p})")
+    return _family(GroupId.sym(p), [top], range(2, (p - 1) // 2 + 1), f"sym_prime(p={p})", (p - 1) // 2)
 
 
 def _delta_prime_power(p: int, alpha: int, group: str | GroupKind = "sym") -> BasicSet:
     _require(is_prime(p), f"p must be prime, got {p}")
     _require(alpha >= 2, f"alpha must be >= 2, got {alpha}")
-    n = p**alpha
-    _check_degree(n)
-    kind = _kind(group)
-    provenance = f"prime_power(p={p}, alpha={alpha}, {kind.name.lower()})"
-    return _coprime_family(kind, n, [Imprimitive(n, p, n // p)], (p,), provenance, euler_phi(n) // 2 + 1)
+    n = _power_degree((p, alpha))
+    g = GroupId(_group_kind(group), n)
+    provenance = f"prime_power(p={p}, alpha={alpha}, {g.kind.name.lower()})"
+    return _family(g, [Imprimitive(n, p, n // p)], _prime_to(n, p), provenance, euler_phi(n) // 2 + 1)
 
 
 def _delta_two_primes(p: int, q: int, group: str | GroupKind = "sym", big_blocks: bool = False) -> BasicSet:
@@ -247,23 +235,20 @@ def _delta_two_primes(p: int, q: int, group: str | GroupKind = "sym", big_blocks
     n = p * q
     _check_degree(n)
     wreath = Imprimitive(n, q, p) if big_blocks else Imprimitive(n, p, q)
-    kind = _kind(group)
-    provenance = f"two_primes(p={p}, q={q}, {kind.name.lower()})"
-    return _coprime_family(kind, n, [wreath], (p, q), provenance, euler_phi(n) // 2 + 1)
+    g = GroupId(_group_kind(group), n)
+    provenance = f"two_primes(p={p}, q={q}, {g.kind.name.lower()})"
+    return _family(g, [wreath], _prime_to(n, p, q), provenance, euler_phi(n) // 2 + 1)
 
 
-def _delta_two_prime_powers(
-    p: int, q: int, alpha: int, beta: int, group: str | GroupKind = "sym"
-) -> BasicSet:
+def _delta_two_prime_powers(p: int, q: int, alpha: int, beta: int, group: str | GroupKind = "sym") -> BasicSet:
     _require(is_prime(p) and is_prime(q) and p < q, f"need primes p < q, got p={p}, q={q}")
     _require(alpha >= 1 and beta >= 1, "exponents must be positive")
     _require(alpha + beta >= 3, f"need alpha + beta >= 3, got {alpha + beta}")
-    n = p**alpha * q**beta
-    _check_degree(n)
+    n = _power_degree((p, alpha), (q, beta))
     tops: list[SubgroupDescriptor] = [Imprimitive(n, p, n // p), Imprimitive(n, q, n // q)]
-    kind = _kind(group)
-    provenance = f"two_prime_powers(p={p}, q={q}, alpha={alpha}, beta={beta}, {kind.name.lower()})"
-    return _coprime_family(kind, n, tops, (p, q), provenance, euler_phi(n) // 2 + 2)
+    g = GroupId(_group_kind(group), n)
+    provenance = f"two_prime_powers(p={p}, q={q}, alpha={alpha}, beta={beta}, {g.kind.name.lower()})"
+    return _family(g, tops, _prime_to(n, p, q), provenance, euler_phi(n) // 2 + 2)
 
 
 def _delta_special_a9() -> BasicSet:

@@ -61,6 +61,20 @@ class GroupKind(_ByValue):
     ALT = "A"
 
 
+# the words that name a kind, matched in any case
+_KIND_WORDS = {"sym": GroupKind.SYM, "s": GroupKind.SYM, "alt": GroupKind.ALT, "a": GroupKind.ALT}
+
+
+def _group_kind(word: str | GroupKind) -> GroupKind:
+    """A GroupKind as it is, or the kind a word names: "sym" or "s", "alt" or "a"."""
+    if isinstance(word, GroupKind):
+        return word
+    kind = _KIND_WORDS.get(str(word).lower())
+    if kind is None:
+        raise ValueError(f"unknown group kind {word!r}")
+    return kind
+
+
 class CycleType(Ordered):
     """A partition of n, parts stored as a descending tuple whatever order they come in; names an S_n class."""
 
@@ -139,14 +153,10 @@ class GroupId(Ordered):
     def parse(cls, text: str, degree: int | None = None) -> "GroupId":
         """Accepts "S12", "A12", or "sym"/"alt" plus an explicit degree."""
         s = text.strip()
-        low = s.lower()
-        if low in ("sym", "s") and degree is not None:
-            return cls.sym(degree)
-        if low in ("alt", "a") and degree is not None:
-            return cls.alt(degree)
+        if s.lower() in _KIND_WORDS and degree is not None:
+            return cls(_group_kind(s), degree)
         if len(s) >= 2 and s[0] in "SAsa" and s[1:].isdigit():
-            kind = GroupKind.SYM if s[0] in "Ss" else GroupKind.ALT
-            return cls(kind, int(s[1:]))
+            return cls(_group_kind(s[0]), int(s[1:]))
         raise ValueError(f"cannot parse group {text!r}")
 
     @property

@@ -241,7 +241,9 @@ def totient_report(n: int) -> TotientReport:
     return TotientReport(n=n, phi=_phi(n, fac), nu=len(fac), mu=_moebius(fac))
 
 
-_INTERVAL_RE = re.compile(r"^\s*([\[(])\s*([^,\s]+)\s*,\s*([^,\s\])]+)\s*([\])])\s*$")
+# An endpoint is an integer, a decimal or p/q: no exponent, which Fraction would expand digit by digit.
+_ENDPOINT = r"[+-]?(?:\d+/\d+|\d+(?:\.\d*)?|\.\d+)"
+_INTERVAL_RE = re.compile(rf"^\s*([\[(])\s*({_ENDPOINT})\s*,\s*({_ENDPOINT})\s*([\])])\s*$", re.ASCII)
 
 
 class Interval(Value):
@@ -266,7 +268,7 @@ class Interval(Value):
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
-        """Parse bracket notation such as "[2,11/2)" or "(1,8]"."""
+        """Parse bracket notation such as "[2,11/2)", "(1,8]" or "[0.5,3)"; endpoints are integers, decimals or p/q."""
         m = _INTERVAL_RE.match(text)
         if not m:
             raise ValueError(f"cannot parse interval {text!r}")

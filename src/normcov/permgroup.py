@@ -6,9 +6,10 @@ elements coset by coset. Spectra and A_n classes are read off a two-point
 slice that holds a conjugate of every element (see _two_point_slice). It is
 built from the generators and the order alone: the point stabiliser G_0 is
 closed from Schreier generators and the whole group never is, so M12 gives a
-slice of 2,880 elements from a stabiliser of 7,920. The raw readers
-_raw_spectrum and _raw_alt_classes take the slice, give plain tuples and cache
-nothing; type_spectrum and alt_class_coverage wrap them.
+slice of 2,880 elements from a stabiliser of 7,920. The raw reader
+_raw_classes takes the slice, finds each element's cycle lengths once, gives
+the spectrum and the A_n classes as plain tuples and caches nothing;
+alt_class_coverage wraps it, and type_spectrum reads the lengths alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .cycle_types import ClassId, CycleType, Parity, SplitTag, _splits, is_split
+from .cycle_types import ClassId, CycleType, Parity, SplitTag, _is_even, _splits, is_split
 
 __all__ = [
     "DEFAULT_CLOSURE_CAP",
@@ -306,14 +307,34 @@ def _two_point_slice(degree: int, gens: Sequence[Perm], order: int) -> list[byte
     return out
 
 
-def _raw_spectrum(elements: list[bytes]) -> frozenset[tuple[int, ...]]:
-    """The descending cycle lengths of elements, a group's two-point slice: the group's spectrum."""
-    return frozenset(map(_cycle_lengths, elements))
+def _raw_classes(elements: list[bytes]):
+    """The spectrum read off a group's two-point slice and, if every type is even, its A_n classes, else None.
+
+    Types are descending cycle lengths and A_n classes are (parts, split tag).
+    One pass finds every element's cycle lengths. A type that does not split
+    is one class. The split types are looked up in the slice, which is left
+    once each has shown both tags.
+    """
+    lengths = list(map(_cycle_lengths, elements))
+    types = frozenset(lengths)
+    if not all(map(_is_even, types)):
+        return types, None
+    open_types = {t for t in types if _splits(t)}
+    classes = {(t, SplitTag.NOT_SPLIT) for t in types - open_types}
+    for lens, eb in zip(lengths, elements) if open_types else ():
+        if lens in open_types:
+            classes.add((lens, _split_tag_of_images(eb)))
+            if (lens, SplitTag.PLUS) in classes and (lens, SplitTag.MINUS) in classes:
+                open_types.remove(lens)
+                if not open_types:
+                    break
+    return types, frozenset(classes)
 
 
 def type_spectrum(g: GeneratedGroup) -> frozenset[CycleType]:
     """The set of cycle types realized by elements of the group."""
-    return frozenset(map(CycleType, _raw_spectrum(_two_point_slice(g.degree, g.generators, g.order))))
+    lengths = set(map(_cycle_lengths, _two_point_slice(g.degree, g.generators, g.order)))
+    return frozenset(map(CycleType, lengths))
 
 
 def canonical_split_rep(t: CycleType) -> Perm:
@@ -351,27 +372,6 @@ def split_class_of(x: Perm) -> ClassId:
     return ClassId(t, _split_tag_of_images(x.images))
 
 
-def _raw_alt_classes(
-    elements: list[bytes], types: frozenset[tuple[int, ...]]
-) -> frozenset[tuple[tuple[int, ...], SplitTag]]:
-    """The A_n classes, as (parts, split tag), met by an all-even group with this slice and raw spectrum.
-
-    A type that does not split is one class. The split types are looked up
-    in the two-point slice, which is left once each has shown both tags.
-    """
-    open_types = {t for t in types if _splits(t)}
-    classes = {(t, SplitTag.NOT_SPLIT) for t in types - open_types}
-    for eb in elements if open_types else ():
-        lens = _cycle_lengths(eb)
-        if lens in open_types:
-            classes.add((lens, _split_tag_of_images(eb)))
-            if (lens, SplitTag.PLUS) in classes and (lens, SplitTag.MINUS) in classes:
-                open_types.remove(lens)
-                if not open_types:
-                    break
-    return frozenset(classes)
-
-
 def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
     """All A_n classes met by a group of even permutations.
 
@@ -380,8 +380,8 @@ def alt_class_coverage(g: GeneratedGroup) -> frozenset[ClassId]:
     """
     if not g.all_even():
         raise ValueError("group contains odd permutations; intersect with A_n first")
-    elements = _two_point_slice(g.degree, g.generators, g.order)
-    return frozenset(ClassId(CycleType(t), tag) for t, tag in _raw_alt_classes(elements, _raw_spectrum(elements)))
+    _, classes = _raw_classes(_two_point_slice(g.degree, g.generators, g.order))
+    return frozenset(ClassId(CycleType(t), tag) for t, tag in classes)
 
 
 def sym_gens(n: int) -> list[Perm]:

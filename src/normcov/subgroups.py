@@ -38,7 +38,7 @@ from ._value import Ordered, Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
 from .numtheory import divisors, is_prime
 from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate
-from .permgroup import _raw_alt_classes, _raw_spectrum, _two_point_slice
+from .permgroup import _raw_classes, _two_point_slice
 
 __all__ = [
     "Catalog",
@@ -404,9 +404,7 @@ def _named(
             swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
             classes = frozenset((parts, swap.get(tag, tag)) for parts, tag in classes)
         return types, classes
-    elements = _from_record(data, d.degree, d.name, 1, _two_point_slice)
-    types = _raw_spectrum(elements)
-    return types, _raw_alt_classes(elements, types) if all(map(_is_even, types)) else None
+    return _raw_classes(_from_record(data, d.degree, d.name, 1, _two_point_slice))
 
 
 # --- membership semantics ---------------------------------------------------

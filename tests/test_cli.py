@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, formats, round trips."""
 
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -164,6 +166,32 @@ def test_verify_bad_family_parameters(capsys, argv, word):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "verify", *argv, "--format", fmt)
         assert code == 2 and out == "" and err.startswith("error: ") and word in err, (argv, err)
+
+
+def _capped(*argv, timeout=10):
+    """Run the CLI in a child with 1 GiB of address space, so a runaway allocation fails fast."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    cmd = [sys.executable, "-m", "normcov.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
+
+
+def test_family_degree_refused_before_its_power_is_computed():
+    # p**alpha for a huge alpha would take gigabytes and end in a MemoryError,
+    # exit 1, the "does not cover" code; or print past Python's 4300-digit limit
+    cases = [
+        (["prime_power", "--p", "2", "--alpha", "100000000000"], "2**100000000000"),
+        (["prime_power", "--p", "2", "--alpha", "1000000"], "2**1000000"),
+        (["two_prime_powers", "--p", "2", "--q", "3", "--alpha", "1000000", "--beta", "1"], "2**1000000 * 3**1"),
+        # a degree short enough to compute is still named in full
+        (["prime_power", "--p", "2", "--alpha", "7"], "128"),
+    ]
+    for argv, degree in cases:
+        proc = _capped("verify", "--family", *argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+        assert proc.stderr == f"error: degree {degree} outside enumeration bound 1..60\n", proc.stderr
 
 
 def test_verify_roundtrip_matches_direct(capsys, tmp_path):
@@ -493,6 +521,14 @@ def test_types_t_prime(capsys):
         assert (code, out, err) == (2, "", f"error: cannot parse interval {interval!r}: zero denominator\n"), interval
 
 
+def test_types_t_prime_interval_with_an_exponent_refused_at_once():
+    # Fraction would expand 1e99999999 digit by digit, for minutes
+    for interval in ("[1,1e99999999)", "[1e-99999999,2)", "[1,1e9999)"):
+        proc = _capped("types", "18", "t_prime", "--interval", interval)
+        assert (proc.returncode, proc.stdout) == (2, ""), interval
+        assert proc.stderr == f"error: cannot parse interval {interval!r}\n", proc.stderr
+
+
 # --- catalog dump -------------------------------------------------------------------
 
 
@@ -524,3 +560,34 @@ def test_closed_stdout_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0
     assert b"Traceback" not in err and b"BrokenPipe" not in err
+
+
+# --- output stability ---------------------------------------------------------------
+
+_SEED_COMMANDS = [
+    ["table3"],
+    ["gamma", "12", "alt"],
+    ["catalog", "12", "alt"],
+    ["verify", "--family", "special_a9"],
+    ["verify", "--family", "upper_sym", "--n", "12"],
+    ["bounds", "15", "sym"],
+    ["membership", "12", "named:M12:2", "[11,1]"],
+    ["types", "18", "t"],
+]
+
+
+def test_stdout_does_not_depend_on_the_hash_seed():
+    # set and dict orders of strings change with PYTHONHASHSEED; no output may follow them
+    for argv in _SEED_COMMANDS:
+        for fmt in ("text", "json"):
+            outs = set()
+            for seed in ("0", "1"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "normcov.cli", *argv, "--format", fmt],
+                    capture_output=True,
+                    timeout=60,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                assert proc.returncode == 0 and proc.stdout, (argv, fmt, proc.stderr)
+                outs.add(proc.stdout)
+            assert len(outs) == 1, (argv, fmt)

@@ -324,6 +324,17 @@ def test_two_primes_construction():
         construct_delta("two_primes", p=2, q=4)
 
 
+def test_family_group_is_a_kind_word_or_a_group_kind():
+    # the words GroupId.parse reads, in any case, or a GroupKind; a group name is no kind
+    want = construct_delta("two_primes", p=2, q=5, group="alt")
+    for group in ("a", "ALT", "Alt", GroupKind.ALT):
+        assert construct_delta("two_primes", p=2, q=5, group=group) == want
+    assert construct_delta("prime_power", p=3, alpha=2, group="S").group == GroupId.sym(9)
+    for group in ("x", "S12", "alternating", " alt", 5):
+        with pytest.raises(ValueError, match="^unknown group kind "):
+            construct_delta("two_primes", p=2, q=5, group=group)
+
+
 def test_two_prime_powers_construction():
     for group in ("sym", "alt"):
         b = construct_delta("two_prime_powers", p=2, q=3, alpha=2, beta=1, group=group)

@@ -225,6 +225,15 @@ def test_interval_invalid():
         Interval.parse("1,3")
 
 
+def test_interval_endpoints_are_integers_decimals_or_fractions():
+    assert Interval.parse("[0.5,3)") == Interval(Fraction(1, 2), Fraction(3))
+    assert Interval.parse("( .25 , 7/2 ]") == Interval(Fraction(1, 4), Fraction(7, 2), True, False)
+    # an exponent is refused, not expanded: Fraction("1e10000000") alone takes seconds
+    for text in ("[1,1e9999)", "[1,2E3)", "[1e0,2)"):
+        with pytest.raises(ValueError, match=r"^cannot parse interval '\[1"):
+            Interval.parse(text)
+
+
 # --- phi over intervals ------------------------------------------------------
 
 
