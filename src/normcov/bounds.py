@@ -10,11 +10,11 @@ the usable integer ceiling alongside.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import gcd
 
 from ._value import Value
 from .cycle_types import GroupId, GroupKind
-from .numtheory import Interval, _phi, _phi_interval, factorize, primes_up_to
+from .numtheory import _phi, _phi_interval, factorize, primes_up_to
 
 __all__ = [
     "BoundReport",
@@ -38,6 +38,8 @@ __all__ = [
 TABLE3_SYM = {3: 2, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3, 9: 4, 10: 3, 11: 5, 12: 4}
 TABLE3_ALT = {4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 3, 10: 3, 11: 4, 12: 3}
 
+_BOTH = (GroupKind.SYM, GroupKind.ALT)
+
 
 def exact_small_gamma(g: GroupId) -> int | None:
     table = TABLE3_SYM if g.kind is GroupKind.SYM else TABLE3_ALT
@@ -60,15 +62,6 @@ def general_upper(g: GroupId) -> int:
     return (n + 3) // 3
 
 
-def _sym_even_interval(n: int) -> tuple[Fraction, Fraction, int]:
-    """Endpoints of I(n) = [lo, hi) and divisor c(n) for even symmetric degrees."""
-    if n % 3 != 0:
-        return Fraction(1), Fraction(n - 1, 3), 2
-    if n % 9 != 0:
-        return Fraction(1), Fraction(n, 9), 1
-    return Fraction(n, 18), Fraction(n, 6), 1
-
-
 def totient_lower(g: GroupId) -> Fraction:
     """Lower bound for n >= 5, as an exact rational.
 
@@ -80,28 +73,34 @@ def totient_lower(g: GroupId) -> Fraction:
     n = g.degree
     if n < 5:
         raise ValueError(f"totient lower bound needs n >= 5, got {n}")
-    return _totient_lower(g, factorize(n))
+    return Fraction(*_totient_lower(g, factorize(n)))
 
 
-def _totient_lower(g: GroupId, fac: list[tuple[int, int]]) -> Fraction:
-    """totient_lower(g), given fac = factorize(g.degree)."""
+def _totient_lower(g: GroupId, fac: list[tuple[int, int]]) -> tuple[int, int]:
+    """totient_lower(g) as (numerator, denominator), not reduced, given fac = factorize(g.degree)."""
     n = g.degree
     phi = _phi(n, fac)
     if g.kind is GroupKind.SYM:
         if n % 2 == 1:
-            if fac == [(n, 1)]:
-                return Fraction(phi, 2)
-            return Fraction(phi, 2) + 1
-        lo, hi, c = _sym_even_interval(n)
-        count = _phi_interval(Interval(lo, hi), fac) if hi > lo else 0
-        return Fraction(count, c) + 1
+            return (phi, 2) if fac == [(n, 1)] else (phi + 2, 2)
+        # coprime i in I(n), over c(n), plus 1: I(n) = [1, (n-1)/3) with c = 2
+        # if 3 does not divide n, [1, n/9) if 9 does not, else [n/18, n/6)
+        if n % 3:
+            return _phi_interval(1, (n - 2) // 3, fac) + 2, 2
+        if n % 9:
+            return _phi_interval(1, n // 9, fac) + 1, 1
+        return _phi_interval(n // 18, n // 6 - 1, fac) + 1, 1
     if n % 2 == 0:
-        if n == 8:
-            return Fraction(phi, 2)
-        return Fraction(phi, 2) + 1
+        return (phi, 2) if n == 8 else (phi + 2, 2)
     if (n - 1) & (n - 2) == 0:  # n = 2**e + 1
-        return Fraction(phi, 4)
-    return Fraction(phi + 2, 4)
+        return phi, 4
+    return phi + 2, 4
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den >= 1."""
+    d = gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
 
 
 class PhiHalfBound(Value):
@@ -157,12 +156,12 @@ def _phi_half_bound(n: int, fac: list[tuple[int, int]]) -> PhiHalfBound:
         if p == 2:
             if a < 4:
                 raise ValueError(f"powers of two need exponent >= 4, got 2**{a}")
-            return PhiHalfBound(n, 1, half + 1, tuple(GroupKind))
+            return PhiHalfBound(n, 1, half + 1, _BOTH)
         return PhiHalfBound(n, 1, half + 1, (GroupKind.SYM,))
     if len(fac) == 2:
         (_, a), (_, b) = fac
         delta = 1 if a + b == 2 else 2
-        return PhiHalfBound(n, delta, half + delta, tuple(GroupKind))
+        return PhiHalfBound(n, delta, half + delta, _BOTH)
     raise ValueError(f"{n} has {len(fac)} distinct prime divisors; at most two supported")
 
 
@@ -207,20 +206,22 @@ class BoundReport(Value):
 
 
 def bounds_report(g: GroupId) -> BoundReport:
-    """Aggregate every applicable bound and exact value for the group."""
+    """Aggregate every applicable bound and exact value for the group.
+
+    Lower bounds are integer ratios (num, den) until the one Fraction of the
+    report is made.
+    """
     n = g.degree
     if n < 4 and not (g.kind is GroupKind.SYM and n == 3):
         raise ValueError(f"bounds need degree >= 4, got {g}")
     fac = factorize(n)
     sources: list[tuple[str, str]] = []
 
-    lowers: list[Fraction] = []
     if n >= 5:
-        tl = _totient_lower(g, fac)
-        lowers.append(tl)
-        sources.append((str(tl), "totient lower bound"))
+        num, den = _totient_lower(g, fac)
+        sources.append((_ratio_str(num, den), "totient lower bound"))
     else:
-        lowers.append(Fraction(2))
+        num, den = 2, 1
         sources.append(("2", "minimum for a non-cyclic group"))
 
     uppers: list[int] = []
@@ -235,14 +236,17 @@ def bounds_report(g: GroupId) -> BoundReport:
 
     if g.kind is GroupKind.SYM and len(fac) == 1 and fac[0][0] == 2 and fac[0][1] >= 2:
         lo, hi = power_of_two_band(fac[0][1])
-        lowers.append(lo)
+        if lo.numerator * den > num * lo.denominator:
+            num, den = lo.numerator, lo.denominator
         uppers.append(hi)
         sources.append((f"[{lo}, {hi}]", "power-of-two band"))
 
-    try:
-        phb = _phi_half_bound(n, fac)
-    except ValueError:
-        phb = None
+    phb = None
+    if len(fac) <= 2:
+        try:
+            phb = _phi_half_bound(n, fac)
+        except ValueError:
+            pass
     if phb is not None and phb.applies_to(g.kind):
         uppers.append(phb.bound)
         sources.append((str(phb.bound), f"phi(n)/2 + {phb.delta} upper bound"))
@@ -253,13 +257,11 @@ def bounds_report(g: GroupId) -> BoundReport:
     if exact is not None:
         uppers.append(exact)
 
-    lower = max(lowers)
-    upper = min(uppers)
     return BoundReport(
         group=g,
-        lower=lower,
-        lower_ceil=ceil(lower),
-        upper=upper,
+        lower=Fraction(num, den),
+        lower_ceil=-(-num // den),
+        upper=min(uppers),
         exact=exact,
         sources=tuple(sources),
     )

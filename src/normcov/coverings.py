@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import prod
 
 from ._value import Value
-from .cycle_types import MAX_PARTITION_DEGREE, ClassId, CycleType, GroupId, GroupKind, _check_degree, _group_kind
+from .cycle_types import MAX_PARTITION_DEGREE, ClassId, GroupId, GroupKind, _check_degree, _cycle_type, _group_kind
 from .numtheory import euler_phi, factorize, is_prime
 from .subgroups import (
     Catalog,
@@ -123,7 +123,7 @@ class CoverReport(Value):
         """
         met: list[list[ClassId]] = [[] for _ in self.components]
         for parts, tag, sig in _signatures(self.group, self.components):
-            cid = ClassId(CycleType(parts), tag)
+            cid = ClassId(_cycle_type(parts), tag)
             for i, classes in enumerate(met):
                 if sig >> i & 1:
                     classes.append(cid)
@@ -150,7 +150,7 @@ def verify_basic_set(b: BasicSet) -> CoverReport:
     Uncovered classes come out in class_universe order.
     """
     uncovered = tuple(
-        ClassId(CycleType(parts), tag)
+        ClassId(_cycle_type(parts), tag)
         for parts, tag, sig in _signatures(b.group, b.components, prune=True)
         if not sig
     )
@@ -331,7 +331,7 @@ def _coverage_rows(g: GroupId, catalog: Catalog):
     sigs, missing = set(), []
     for parts, tag, sig in _signatures(g, descs):
         if not sig:
-            missing.append(str(ClassId(CycleType(parts), tag)))
+            missing.append(str(ClassId(_cycle_type(parts), tag)))
         sigs.add(sig)
     if missing:
         raise CatalogError(f"catalog cannot cover classes {', '.join(missing)}; catalog data error")

@@ -114,6 +114,16 @@ class CycleType(Ordered):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
+_set_parts = CycleType.parts.__set__
+
+
+def _cycle_type(parts: tuple[int, ...]) -> CycleType:
+    """CycleType(parts) for a tuple already descending with parts >= 1, built without sorting or checking it."""
+    t = object.__new__(CycleType)
+    _set_parts(t, parts)
+    return t
+
+
 class ClassId(Ordered):
     """A conjugacy class label: cycle type plus a split tag for A_n classes."""
 
@@ -202,7 +212,7 @@ def _classes(n: int, alt: bool, prune: int = 0):
 
 def partitions(n: int) -> list[CycleType]:
     """All partitions of n in reverse lexicographic order, [n] first."""
-    return [CycleType(parts) for parts, _, _ in _classes(n, False)]
+    return [_cycle_type(parts) for parts, _, _ in _classes(n, False)]
 
 
 def _is_even(parts: tuple[int, ...]) -> bool:
@@ -233,7 +243,7 @@ def u_set(n: int) -> list[CycleType]:
     """
     if n < 5:
         raise ValueError(f"u_set needs n >= 5, got {n}")
-    return [CycleType((n - k, k)) for k in range(2, (n + 1) // 2) if gcd(k, n) == 1]
+    return [_cycle_type((n - k, k)) for k in range(2, (n + 1) // 2) if gcd(k, n) == 1]
 
 
 def t_set(n: int) -> list[CycleType]:
@@ -248,7 +258,15 @@ def t_set(n: int) -> list[CycleType]:
     i = 1
     while a * i < n - 1:
         if gcd(i, n) == 1:
-            out.append(CycleType((i, (a - 1) * i, n - a * i)))
+            # i <= (a-1)i, so only the last part n-ai needs placing
+            small, mid, rest = i, (a - 1) * i, n - a * i
+            if rest >= mid:
+                parts = (rest, mid, small)
+            elif rest >= small:
+                parts = (mid, rest, small)
+            else:
+                parts = (mid, small, rest)
+            out.append(_cycle_type(parts))
         i += 1
     return out
 
@@ -264,12 +282,10 @@ def t_prime_set(n: int, interval: Interval) -> list[CycleType]:
     half_m = Fraction(m, 2)
     hi_ok = interval.hi < half_m or (interval.hi == half_m and interval.hi_open)
     if interval.lo < 1 or not hi_ok:
-        raise ValueError(f"interval {interval} not contained in [1, {m}/2)")
-    out = []
-    for i in range(interval.first_integer(), interval.last_integer() + 1):
-        if gcd(i, n) == 1:
-            out.append(CycleType((m - i, m - 2 * i, m + 3 * i)))
-    return out
+        raise ValueError(f"interval {interval} not contained in [1, {half_m})")
+    # 1 <= i < m/2, so the parts descend and m-2i >= 1
+    first, last = interval.first_integer(), interval.last_integer()
+    return [_cycle_type((m + 3 * i, m - i, m - 2 * i)) for i in range(first, last + 1) if gcd(i, n) == 1]
 
 
 def class_universe(g: GroupId) -> list[ClassId]:
@@ -278,4 +294,4 @@ def class_universe(g: GroupId) -> list[ClassId]:
     For S_n: one class per partition. For A_n: the even partitions, with
     split types contributing a PLUS and a MINUS class.
     """
-    return [ClassId(CycleType(parts), tag) for parts, tag, _ in _classes(g.degree, g.kind is GroupKind.ALT)]
+    return [ClassId(_cycle_type(parts), tag) for parts, tag, _ in _classes(g.degree, g.kind is GroupKind.ALT)]

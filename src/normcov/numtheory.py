@@ -8,6 +8,7 @@ number used in a bound.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import count
 from math import ceil, floor, gcd
@@ -256,6 +257,8 @@ class Interval(Value):
     __slots__ = ("lo", "hi", "lo_open", "hi_open")
 
     def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = True) -> None:
+        if isinstance(lo, float) or isinstance(hi, float):
+            raise ValueError(f"interval endpoints must be exact, not floats: lo={lo!r}, hi={hi!r}")
         lo, hi = Fraction(lo), Fraction(hi)
         if lo < 0:
             raise ValueError(f"interval endpoints must be nonnegative, got lo={lo}")
@@ -277,6 +280,9 @@ class Interval(Value):
             lo, hi = Fraction(lo_s), Fraction(hi_s)
         except ZeroDivisionError:
             raise ValueError(f"cannot parse interval {text!r}: zero denominator") from None
+        except ValueError:  # only Python's limit on digits per integer conversion fails a matched endpoint
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"cannot parse interval {text!r}: an endpoint exceeds the limit of {limit} digits") from None
         return cls(lo=lo, hi=hi, lo_open=(lo_b == "("), hi_open=(hi_b == ")"))
 
     @property
@@ -323,13 +329,11 @@ def phi_interval(iv: Interval, n: int) -> int:
     _check_positive(n)
     if iv.lo < 0 or iv.hi > n:
         raise ValueError(f"interval {iv} not contained in [0, {n}]")
-    return _phi_interval(iv, factorize(n))
+    return _phi_interval(max(iv.first_integer(), 1), iv.last_integer(), factorize(n))
 
 
-def _phi_interval(iv: Interval, fac: list[tuple[int, int]]) -> int:
-    """phi_interval(iv, n), given fac = factorize(n) and iv inside [0, n]."""
-    a = max(iv.first_integer(), 1)
-    b = iv.last_integer()
+def _phi_interval(a: int, b: int, fac: list[tuple[int, int]]) -> int:
+    """Count of integers a <= i <= b with gcd(i, n) == 1, given fac = factorize(n) and 1 <= a."""
     if b < a:
         return 0
     # (moebius(d), d) for every squarefree divisor d of n

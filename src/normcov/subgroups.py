@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Union
 
 from ._value import Ordered, Value
-from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _is_even
+from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _cycle_type, _is_even
 from .numtheory import divisors, is_prime
 from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate
 from .permgroup import _raw_classes, _two_point_slice
@@ -567,7 +567,7 @@ def _signatures(g: GroupId, components, prune: bool = False):
 
 def class_coverage(d: SubgroupDescriptor, g: GroupId) -> frozenset[ClassId]:
     """Exact set of conjugacy classes of g met by the subgroup class d."""
-    return frozenset(ClassId(CycleType(parts), tag) for parts, tag, sig in _signatures(g, (d,)) if sig)
+    return frozenset(ClassId(_cycle_type(parts), tag) for parts, tag, sig in _signatures(g, (d,)) if sig)
 
 
 # --- catalogs ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Closed-form bounds: frozen values, oracle cross-checks, consistency sweeps."""
 
+import random
 from fractions import Fraction
 from math import ceil, gcd
 
@@ -8,6 +9,7 @@ import pytest
 from normcov.bounds import (
     TABLE3_ALT,
     TABLE3_SYM,
+    BoundReport,
     bounds_report,
     exact_small_gamma,
     general_upper,
@@ -17,6 +19,7 @@ from normcov.bounds import (
     totient_lower,
 )
 from normcov.cycle_types import GroupId, GroupKind
+from normcov.numtheory import Interval, euler_phi, factorize, is_prime, phi_interval
 
 
 def S(n):
@@ -202,6 +205,113 @@ def test_report_exact_matches_set_cover():
     groups = [S(n) for n in range(4, 13)] + [A(n) for n in range(4, 13)]
     for g in groups:
         assert bounds_report(g).exact == exact_gamma(g, load_catalog(g)).gamma, g
+
+
+# --- the report against the Fraction formulas it replaced ------------------------
+
+
+def _sym_even_interval_ref(n):
+    """Endpoints of I(n) = [lo, hi) and divisor c(n) for even symmetric degrees."""
+    if n % 3 != 0:
+        return Fraction(1), Fraction(n - 1, 3), 2
+    if n % 9 != 0:
+        return Fraction(1), Fraction(n, 9), 1
+    return Fraction(n, 18), Fraction(n, 6), 1
+
+
+def _totient_lower_ref(g):
+    n = g.degree
+    phi = euler_phi(n)
+    if g.kind is GroupKind.SYM:
+        if n % 2 == 1:
+            if is_prime(n):
+                return Fraction(phi, 2)
+            return Fraction(phi, 2) + 1
+        lo, hi, c = _sym_even_interval_ref(n)
+        count = phi_interval(Interval(lo, hi), n) if hi > lo else 0
+        return Fraction(count, c) + 1
+    if n % 2 == 0:
+        if n == 8:
+            return Fraction(phi, 2)
+        return Fraction(phi, 2) + 1
+    if (n - 1) & (n - 2) == 0:
+        return Fraction(phi, 4)
+    return Fraction(phi + 2, 4)
+
+
+def _bounds_report_ref(g):
+    """bounds_report as it was written with a Fraction for every lower bound."""
+    n = g.degree
+    sources, lowers, uppers = [], [], []
+    if n >= 5:
+        tl = _totient_lower_ref(g)
+        lowers.append(tl)
+        sources.append((str(tl), "totient lower bound"))
+    else:
+        lowers.append(Fraction(2))
+        sources.append(("2", "minimum for a non-cyclic group"))
+    if n >= 4:
+        uppers.append(general_upper(g))
+        sources.append((str(uppers[-1]), "general upper bound"))
+    exact = exact_small_gamma(g)
+    if exact is not None:
+        sources.append((str(exact), "small-degree exact value"))
+    fac = factorize(n)
+    if g.kind is GroupKind.SYM and len(fac) == 1 and fac[0][0] == 2 and fac[0][1] >= 2:
+        lo, hi = power_of_two_band(fac[0][1])
+        lowers.append(lo)
+        uppers.append(hi)
+        sources.append((f"[{lo}, {hi}]", "power-of-two band"))
+    try:
+        phb = phi_half_bound(n)
+    except ValueError:
+        phb = None
+    if phb is not None and phb.applies_to(g.kind):
+        uppers.append(phb.bound)
+        sources.append((str(phb.bound), f"phi(n)/2 + {phb.delta} upper bound"))
+        if phb.exact_for(g.kind) and exact is None:
+            exact = phb.bound
+            sources.append((str(exact), "phi(n)/2 + delta equality"))
+    if exact is not None:
+        uppers.append(exact)
+    lower = max(lowers)
+    return BoundReport(g, lower, ceil(lower), min(uppers), exact, tuple(sources))
+
+
+def _assert_report_as_before(g):
+    got, want = bounds_report(g), _bounds_report_ref(g)
+    assert type(got.lower) is Fraction, g
+    assert repr(got) == repr(want), g
+    assert got.to_json() == want.to_json(), g
+    if g.degree >= 5:
+        tl = totient_lower(g)
+        assert type(tl) is Fraction and tl == _totient_lower_ref(g), g
+
+
+def test_bounds_report_matches_the_fraction_formulas_up_to_ten_thousand():
+    for n in range(3, 10**4 + 1):
+        _assert_report_as_before(S(n))
+        if n >= 4:
+            _assert_report_as_before(A(n))
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_bounds_report_matches_the_fraction_formulas_up_to_a_trillion():
+    # primes, semiprimes p*q, 2*p, 2**e and 18*k, each at most 10**12
+    rng = random.Random(20)
+    degrees = [2**e for e in range(2, 40)] + [18 * rng.randint(1, 10**12 // 18) for _ in range(40)]
+    for _ in range(30):
+        p = _next_prime(rng.randint(5, 10**6))
+        degrees += [_next_prime(rng.randint(10**4, 10**12 - 40)), p * _next_prime(rng.randint(3, 10**12 // p - 300))]
+        degrees.append(2 * _next_prime(rng.randint(3, 5 * 10**11 - 40)))
+    for n in degrees:
+        _assert_report_as_before(S(n))
+        _assert_report_as_before(A(n))
 
 
 # --- the gap table -----------------------------------------------------------------

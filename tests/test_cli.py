@@ -529,6 +529,25 @@ def test_types_t_prime_interval_with_an_exponent_refused_at_once():
         assert proc.stderr == f"error: cannot parse interval {interval!r}\n", proc.stderr
 
 
+def test_types_t_prime_interval_past_the_digit_limit_refused(capsys):
+    # Python refuses to convert an integer string of more than 4300 digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this Python converts integer strings of any length")
+    for interval in (f"[1,{'9' * (limit + 1)})", f"[1,2/{'9' * (limit + 1)})", f"[0.{'9' * (limit + 1)},2)"):
+        code, out, err = run(capsys, "types", "18", "t_prime", "--interval", interval)
+        want = f"error: cannot parse interval {interval!r}: an endpoint exceeds the limit of {limit} digits\n"
+        assert (code, out, err) == (2, "", want), interval[:20]
+
+
+def test_types_t_prime_outside_the_half_third_names_the_bound_reduced(capsys):
+    # n = 6k gives m = n/3 = 2k, so the bound m/2 = k is always an integer
+    for n, interval in ((12, "[1,2]"), (18, "[1,4)"), (42, "[0,3)")):
+        code, out, err = run(capsys, "types", str(n), "t_prime", "--interval", interval)
+        want = f"error: interval {interval} not contained in [1, {n // 6})\n"
+        assert (code, out, err) == (2, "", want), n
+
+
 # --- catalog dump -------------------------------------------------------------------
 
 

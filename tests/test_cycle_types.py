@@ -228,3 +228,32 @@ def test_class_universe_structure():
         assert len(universe) == len(evens) + len(splits)
         assert len(set(universe)) == len(universe)
         assert len(class_universe(GroupId.sym(n))) == len(partitions(n))
+
+
+# --- enumerators build their types unchecked -----------------------------------
+
+
+def _as_if_checked(types):
+    """Each type is what the public constructor makes of its parts: descending, parts >= 1."""
+    for t in types:
+        public = CycleType(t.parts)
+        assert type(t) is CycleType and t.parts[-1] >= 1, t
+        assert all(a >= b for a, b in zip(t.parts, t.parts[1:])), t
+        assert t == public and hash(t) == hash(public) and repr(t) == repr(public), t
+
+
+def test_type_families_are_built_as_the_public_constructor_builds():
+    for n in range(5, 401):
+        _as_if_checked(u_set(n))
+        _as_if_checked(t_set(n))
+    for n in range(12, 401, 6):
+        _as_if_checked(t_prime_set(n, Interval(Fraction(1), Fraction(n // 3, 2))))
+
+
+def test_partitions_and_classes_are_built_as_the_public_constructor_builds():
+    # every partition up to degree 32: p(60) alone is near a million
+    for n in range(1, 33):
+        _as_if_checked(partitions(n))
+        if n >= 4:
+            _as_if_checked(c.ctype for c in class_universe(GroupId.sym(n)))
+            _as_if_checked(c.ctype for c in class_universe(GroupId.alt(n)))

@@ -234,6 +234,16 @@ def test_interval_endpoints_are_integers_decimals_or_fractions():
             Interval.parse(text)
 
 
+def test_interval_refuses_float_endpoints():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for lo, hi in ((0.1, 1), (0, 3.7), (0.5, 2.5), (1.0, Fraction(3))):
+        with pytest.raises(ValueError, match="not floats"):
+            Interval(lo, hi)
+    assert Interval(1, 3) == Interval(Fraction(1), Fraction(3))
+    assert Interval(Fraction(1, 10), 1).lo == Fraction(1, 10)
+    assert phi_interval(Interval(Fraction(1, 10), Fraction(37, 10)), 10) == 2
+
+
 # --- phi over intervals ------------------------------------------------------
 
 
