@@ -1,14 +1,15 @@
 """Subgroup-class descriptors with exact cycle-type membership semantics.
 
 A descriptor names a conjugacy class of subgroups symbolically. Membership of
-a cycle type is decided combinatorially for the intransitive and imprimitive
-families, by parity for the alternating group, and by the exact type spectrum
-for named groups. One function, _coverage_rule, says how a descriptor meets
-the classes of S_n or A_n and refuses the pairings that mean nothing;
-contains_type, the membership command and the partition walk all ask it.
-AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take their spectrum
-from a closed form (_closed_form); every other named group is closed from its
-generator record in generators.json.
+a cycle type is decided by subset sums for the intransitive family, for
+S_b wr S_c by two closed rules and else one flat search over part counts
+(_wreath_cover), by parity for the alternating group, and by the exact type
+spectrum for named groups. One function, _coverage_rule, says how a
+descriptor meets the classes of S_n or A_n and refuses the pairings that
+mean nothing; contains_type, the membership command and the partition walk
+all ask it. AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take
+their spectrum from a closed form (_closed_form); every other named group is
+closed from its generator record in generators.json.
 
 A named descriptor reaches the walk through one cached resolver of raw
 tuples, _named, keyed on the descriptor and the data directory. It gives the
@@ -16,8 +17,9 @@ spectrum, and the A_n classes of an all-even group. Both are read off the
 two-point slice of a record's class 1, built once from its point stabiliser,
 so no record is closed whole there, and class 2 is never resolved on its own.
 named_group still closes the whole group, afresh on every call, and caches
-nothing. The caches are lru_caches, which keep their own state consistent
-under threads; a race at worst resolves a group twice.
+nothing; _wreath_cover caches whole (parts, b) queries. The caches are
+lru_caches, which keep their own state consistent under threads; a race at
+worst resolves a group twice.
 
 One loader, _load_json, reads every JSON file the package takes: basic sets,
 user and built-in catalogs, and generators.json. A missing file or one that
@@ -31,6 +33,8 @@ import json
 import os
 import re
 from functools import lru_cache
+from math import gcd
+from operator import mul
 from pathlib import Path
 from typing import Callable, Union
 
@@ -185,6 +189,10 @@ def _json_field(obj: dict, key: str, json_type: type = int, default=None):
 
 
 def descriptor_from_json(obj: dict, degree: int) -> SubgroupDescriptor:
+    """The descriptor obj spells; CatalogError if malformed, at once for an intersect_alt that wraps A_n or itself."""
+    inner = obj.get("inner") if type(obj) is dict and obj.get("kind") == "intersect_alt" else None
+    if type(inner) is dict and inner.get("kind") in ("intersect_alt", "alternating"):
+        raise CatalogError(f"intersect_alt must wrap an S_n-level class other than A_n, not {inner['kind']}")
     try:
         kind = obj["kind"]
         if kind == "intransitive":
@@ -196,8 +204,7 @@ def descriptor_from_json(obj: dict, degree: int) -> SubgroupDescriptor:
         if kind == "named":
             return NamedGroup(degree, _json_field(obj, "name", str), _json_field(obj, "class", int, 1))
         if kind == "intersect_alt":
-            inner = descriptor_from_json(obj["inner"], degree)
-            return IntersectAlt(inner)
+            return IntersectAlt(descriptor_from_json(obj["inner"], degree))
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed descriptor {obj!r}: {exc}") from exc
     raise CatalogError(f"unknown descriptor kind {kind!r}")
@@ -425,45 +432,37 @@ def _subset_sum(parts: tuple[int, ...], target: int) -> bool:
     return bool((mask >> target) & 1)
 
 
-def _fill(parts: tuple[int, ...], d: int, need: int):
-    """Yield the rest of parts after taking parts divisible by d whose quotients sum to need.
-
-    The rest stays descending. Each distinct value is tried once per slot,
-    so no sub-multiset is taken twice.
-    """
-    if need == 0:
-        yield parts
-        return
-    prev = 0
-    for i, p in enumerate(parts):
-        if p == prev or p % d or p > d * need:
-            continue
-        prev = p
-        for left in _fill(parts[i + 1 :], d, need - p // d):
-            yield parts[:i] + left
-
-
 @lru_cache(maxsize=250000)
 def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
     """Does S_b wr S_c hold a permutation with these descending cycle lengths?
 
-    A cycle of the top group of length d whose block product has type mu
-    gives the cycles d*mu, with sum(mu) == b. So the first part v opens an
-    orbit of d blocks for a divisor d of v with v <= d*b and d at most the
-    blocks left; later parts divisible by d fill its other d*b - v points.
+    A top cycle of length d over a block product of type mu gives the cycles
+    d*mu; so parts all multiples of b, or all of c, are held. Else, over part
+    value counts, the largest part v left opens an orbit of d blocks, d | v,
+    v <= d*b <= points left, filled with parts divisible by d one at a time
+    from value index j on. Counts left between orbits are searched once.
     """
-    if not parts:
+    if (g := gcd(*parts)) % b == 0 or g % (sum(parts) // b) == 0:
         return True
-    head, rest = parts[0], parts[1:]
-    blocks = sum(parts) // b
-    for d in divisors(head):
-        if d > blocks:
-            break
-        if head > d * b:
-            continue
-        for left in _fill(rest, d, b - head // d):
-            if _wreath_cover(left, b):
+    values = sorted(set(parts), reverse=True)
+    stack, seen = [(tuple(map(parts.count, values)), 0, 0, 0)], set()
+    while stack:
+        counts, d, need, j = stack.pop()
+        if need:
+            while j < len(values) and not (counts[j] and values[j] <= need and values[j] % d == 0):
+                j += 1
+            if j < len(values):
+                stack.append((counts, d, need, j + 1))
+                stack.append((counts[:j] + (counts[j] - 1,) + counts[j + 1 :], d, need - values[j], j))
+        elif counts not in seen:
+            seen.add(counts)
+            if not (first := next(filter(None, counts), 0)):
                 return True
+            i = counts.index(first)
+            v, left = values[i], sum(map(mul, values, counts))
+            for e in reversed(divisors(v)):
+                if v <= e * b <= left:
+                    stack.append((counts[:i] + (counts[i] - 1,) + counts[i + 1 :], e, e * b - v, i))
     return False
 
 

@@ -395,20 +395,36 @@ def test_membership_at_a_huge_degree():
 
 
 def test_too_deep_input_is_an_error(capsys, tmp_path):
-    # recursion past Python's limit is an error, not a traceback with the "does not cover" code
-    ones = "[" + ",".join(["1"] * 1000) + "]"
+    # JSON nested past Python's recursion limit is an error, not a traceback with the "does not cover" code
     inner = '{"kind": "intransitive", "k": 1}'
     for _ in range(5000):
         inner = '{"kind": "intersect_alt", "inner": ' + inner + "}"
     (tmp_path / "basic.json").write_text('{"group": "A7", "components": [' + inner + "]}")
     (tmp_path / "catalog.json").write_text("[" * 5000 + "]" * 5000)
     for argv in (
-        ["membership", "1000", "imprimitive:2,500", ones],
         ["verify", "--file", str(tmp_path / "basic.json")],
         ["gamma", "5", "sym", "--catalog", str(tmp_path / "catalog.json")],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), (argv[0], err)
+    # a type of many parts nests nothing: wreath membership answers on every interpreter
+    for parts, answer in (["1"] * 1000, "yes"), (["3"] + ["1"] * 997, "no"):
+        t = "[" + ",".join(parts) + "]"
+        code, out, err = run(capsys, "membership", "1000", "imprimitive:2,500", t)
+        assert code == 0 and err == "" and out.startswith(f"{t} in imprimitive:2,500: {answer} "), err
+    # nor does the search recurse per part, so a low recursion limit leaves it answering
+    code = (
+        "import sys\n"
+        "from normcov.cycle_types import CycleType\n"
+        "from normcov.subgroups import Imprimitive, contains_type\n"
+        "sys.setrecursionlimit(60)\n"
+        "cases = (2, (1,) * 4000), (2, (3,) + (1,) * 3997), (4, (3, 2) + (1,) * 3995), (4, (3, 3) + (2,) * 1997)\n"
+        "for b, parts in cases:\n"
+        "    print(contains_type(Imprimitive(4000, b, 4000 // b), CycleType(parts)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout.split() == ["True", "False", "True", "False"]
 
 
 def test_closed_forms_served_above_the_old_data(capsys):

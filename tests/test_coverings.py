@@ -150,7 +150,7 @@ def _sweep_uncovered(rep):
 
 
 def family_sets(max_n):
-    """Every construction family at every degree up to max_n."""
+    """Every construction family at every degree up to max_n, with each group kind and block size it takes."""
     sets = [construct_delta(f) for f in ("special_a9", "special_s10", "special_a11")]
     kinds = ("sym", "alt")
     for n in range(4, max_n + 1):
@@ -172,7 +172,11 @@ def family_sets(max_n):
                 sets += [construct_delta("prime_power", p=p, alpha=alpha, group=k) for k in kinds]
         for q in primes:
             if p < q and p * q <= max_n:
-                sets += [construct_delta("two_primes", p=p, q=q, group=k) for k in kinds]
+                sets += [
+                    construct_delta("two_primes", p=p, q=q, group=k, big_blocks=big)
+                    for k in kinds
+                    for big in (False, True)
+                ]
             for alpha in range(1, max_n.bit_length()):
                 for beta in range(1, max_n.bit_length()):
                     if p < q and alpha + beta >= 3 and p**alpha * q**beta <= max_n:
@@ -279,6 +283,15 @@ def test_verify_degree_60():
             for b in (construct_delta("sym_prime", p=p), construct_delta("upper_alt_odd", n=p)):
                 rep = verify_basic_set(b)
                 assert rep.covered and rep.uncovered == (), b.provenance
+
+
+def test_every_family_verifies_up_to_degree_60():
+    # every family at every valid parameter, big blocks and both group kinds included
+    sets = family_sets(60)
+    assert len(sets) == 300
+    for b in sets:
+        rep = verify_basic_set(b)
+        assert rep.covered and rep.uncovered == (), b.provenance
 
 
 # --- constructions -----------------------------------------------------------------

@@ -119,6 +119,16 @@ def test_descriptor_json_roundtrip():
     ]:
         with pytest.raises(CatalogError, match=f"field '{field}'"):
             descriptor_from_json(obj, 12)
+    # an intersect_alt wrapping another is refused at the top, with a message that does not grow with the depth
+    for depth in (2, 500):
+        obj = {"kind": "intransitive", "k": 1}
+        for _ in range(depth):
+            obj = {"kind": "intersect_alt", "inner": obj}
+        with pytest.raises(CatalogError, match="intersect_alt must wrap an S_n-level class") as err:
+            descriptor_from_json(obj, 12)
+        assert len(str(err.value)) < 100, len(str(err.value))
+    with pytest.raises(CatalogError, match="other than A_n, not alternating"):
+        descriptor_from_json({"kind": "intersect_alt", "inner": {"kind": "alternating"}}, 12)
 
 
 # --- membership ---------------------------------------------------------------
@@ -223,6 +233,9 @@ def test_imprimitive_membership_against_element_shapes():
             d, spec = Imprimitive(n, b, n // b), _wreath_types(b, n // b)
             for t in types:
                 assert contains_type(d, t) == (t.parts in spec), (b, n // b, str(t))
+                # each closed rule alone holds only types of the wreath product
+                for m in (b, n // b):
+                    assert t.parts in spec or any(p % m for p in t.parts), (b, n // b, m, str(t))
             pairs += len(types)
     assert pairs == 80240
 
