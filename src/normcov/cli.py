@@ -16,7 +16,7 @@ import sys
 
 from .bounds import bounds_report
 from .coverings import BasicSet, construct_delta, delta_families, exact_gamma, verify_basic_set
-from .cycle_types import CycleType, GroupId, t_prime_set, t_set, u_set
+from .cycle_types import CycleType, GroupId, SplitTag, t_prime_set, t_set, u_set
 from .numtheory import Interval
 from .subgroups import (
     FullAlternating,
@@ -24,7 +24,7 @@ from .subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
-    _holds_type,
+    _coverage_rule,
     _load_json,
     catalog_to_json,
     load_catalog,
@@ -118,7 +118,7 @@ def cmd_membership(args):
     t = CycleType.parse(args.type)
     if t.n != args.n:
         raise ValueError(f"type {t} is a partition of {t.n}, not {args.n}")
-    member = _holds_type(d, t)
+    member = _coverage_rule(d, t.n, isinstance(d, IntersectAlt))(t.parts, SplitTag.NOT_SPLIT)
     rule = _MEMBERSHIP_RULES[type(d)]
     payload = {"descriptor": str(d), "type": str(t), "member": member, "rule": rule}
     text = f"{t} in {d}: {'yes' if member else 'no'} ({rule})"

@@ -149,11 +149,8 @@ def verify_basic_set(b: BasicSet) -> CoverReport:
     The other components are tested only at the leaves that survive.
     Uncovered classes come out in class_universe order.
     """
-    uncovered = tuple(
-        ClassId(_cycle_type(parts), tag)
-        for parts, tag, sig in _signatures(b.group, b.components, prune=True)
-        if not sig
-    )
+    unmet = _signatures(b.group, b.components, prune=True)
+    uncovered = tuple(ClassId(_cycle_type(parts), tag) for parts, tag, _ in unmet)
     return CoverReport(group=b.group, covered=not uncovered, uncovered=uncovered, components=b.components)
 
 

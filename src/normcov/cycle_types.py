@@ -165,7 +165,7 @@ class GroupId(Ordered):
         s = text.strip()
         if s.lower() in _KIND_WORDS and degree is not None:
             return cls(_group_kind(s), degree)
-        if len(s) >= 2 and s[0] in "SAsa" and s[1:].isdigit():
+        if len(s) >= 2 and s[0] in "SAsa" and s[1:].isdecimal():
             return cls(_group_kind(s[0]), int(s[1:]))
         raise ValueError(f"cannot parse group {text!r}")
 
@@ -216,7 +216,8 @@ def partitions(n: int) -> list[CycleType]:
 
 
 def _is_even(parts: tuple[int, ...]) -> bool:
-    return sum(1 for p in parts if p % 2 == 0) % 2 == 0
+    # a cycle of length p is p - 1 transpositions
+    return (sum(parts) - len(parts)) % 2 == 0
 
 
 def _splits(parts: tuple[int, ...]) -> bool:

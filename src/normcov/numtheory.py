@@ -11,7 +11,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import count
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 
 from ._value import Value
 
@@ -154,7 +154,7 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             start = p * p
             sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)

@@ -4,12 +4,13 @@ A descriptor names a conjugacy class of subgroups symbolically. Membership of
 a cycle type is decided by subset sums for the intransitive family, for
 S_b wr S_c by two closed rules and else one flat search over part counts
 (_wreath_cover), by parity for the alternating group, and by the exact type
-spectrum for named groups. One function, _coverage_rule, says how a
-descriptor meets the classes of S_n or A_n and refuses the pairings that
-mean nothing; contains_type, the membership command and the partition walk
-all ask it. AGL1(p) on p points and PGL2(p) on p+1 points, p prime, take
-their spectrum from a closed form (_closed_form); every other named group is
-closed from its generator record in generators.json.
+spectrum for named groups. One function, _coverage_rule, gives every
+component one predicate on (parts, split tag) for the classes of S_n or A_n
+and refuses the pairings that mean nothing; contains_type, the membership
+command and the partition walk all ask it. AGL1(p) on p points and PGL2(p)
+on p+1 points, p prime, take their spectrum from a closed form
+(_closed_form); every other named group is closed from its generator record
+in generators.json.
 
 A named descriptor reaches the walk through one cached resolver of raw
 tuples, _named, keyed on the descriptor and the data directory. It gives the
@@ -468,32 +469,19 @@ def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
 
 def contains_type(d: SubgroupDescriptor, t: CycleType) -> bool:
     """Does the S_n-level class of subgroups contain a permutation of type t?"""
-    return _coverage_rule(d, t.n, False)(t.parts)
+    return _coverage_rule(d, t.n, False)(t.parts, SplitTag.NOT_SPLIT)
 
 
-def _holds_type(d: SubgroupDescriptor, t: CycleType) -> bool:
-    """contains_type, where alt:X asks instead whether X holds an even permutation of type t.
-
-    The rule is built first, so a pairing it refuses is refused whatever the
-    parity of t; then an odd type, which lies outside A_n, is no member of alt:X.
-    """
-    alt = isinstance(d, IntersectAlt)
-    rule = _coverage_rule(d, t.n, alt)
-    return (not alt or _is_even(t.parts)) and rule(t.parts)
-
-
-def _coverage_rule(
-    d: SubgroupDescriptor, n: int, alt: bool
-) -> Callable[[tuple[int, ...]], bool] | frozenset[tuple[tuple[int, ...], SplitTag]]:
-    """How the component d meets the classes of S_n, or of A_n if alt; ValueError if it cannot be one.
+def _coverage_rule(d: SubgroupDescriptor, n: int, alt: bool) -> Callable[[tuple[int, ...], SplitTag], bool]:
+    """rule(parts, tag): does the component d meet that class of S_n, or of A_n if alt? ValueError if d is none.
 
     The one place that decides what a descriptor means: contains_type, the
-    membership command and the walk in _signatures all ask here. Mostly a test
-    on raw descending cycle types. In A_n, alt:X is X's test read on even types
-    only, and a split type it accepts meets both of its A_n classes, because
-    the normalizer of the intersection contains odd permutations. A named
-    group of even permutations in A_n instead gives its exact set of classes,
-    as raw (parts, split tag) pairs.
+    membership command and the walk in _signatures all ask here, on raw
+    descending cycle types. alt:X is X's rule behind an evenness test, and a
+    split type it accepts meets both of its A_n classes, because the
+    normalizer of the intersection contains odd permutations. A named group
+    of even permutations in A_n tests (parts, tag) against its exact classes.
+    Every other rule ignores the tag.
     """
     if d.degree != n:
         raise ValueError(f"degree mismatch: descriptor degree {d.degree}, group {'A' if alt else 'S'}{n}")
@@ -505,19 +493,21 @@ def _coverage_rule(
         raise ValueError(f"descriptor {d} is an intersection with A_n; it is no component of S{n}")
     inner = d.inner if isinstance(d, IntersectAlt) else d
     if isinstance(inner, Intransitive):
-        return lambda parts: _subset_sum(parts, inner.k)
-    if isinstance(inner, Imprimitive):
-        return lambda parts: _wreath_cover(parts, inner.b)
-    if isinstance(inner, FullAlternating):
-        return _is_even
-    types, classes = _named(inner, str(data_dir()))
-    if alt and inner is d:
-        if classes is None:
-            raise ValueError("group contains odd permutations; intersect with A_n first")
-        return classes
-    if alt and classes is not None:
-        raise ValueError(f"{inner.name} already lies inside the alternating group; use the named descriptor directly")
-    return types.__contains__
+        rule = lambda parts, tag: _subset_sum(parts, inner.k)
+    elif isinstance(inner, Imprimitive):
+        rule = lambda parts, tag: _wreath_cover(parts, inner.b)
+    elif isinstance(inner, FullAlternating):
+        rule = lambda parts, tag: _is_even(parts)
+    else:
+        types, classes = _named(inner, str(data_dir()))
+        if alt and inner is d:
+            if classes is None:
+                raise ValueError("group contains odd permutations; intersect with A_n first")
+            return lambda parts, tag: (parts, tag) in classes
+        if alt and classes is not None:
+            raise ValueError(f"{inner.name} already lies inside the alternating group; use the named descriptor directly")
+        rule = lambda parts, tag: parts in types
+    return rule if inner is d else lambda parts, tag: _is_even(parts) and rule(parts, tag)
 
 
 def _signatures(g: GroupId, components, prune: bool = False):
@@ -526,42 +516,32 @@ def _signatures(g: GroupId, components, prune: bool = False):
     Bit i of the signature is set iff components[i] meets the class. An
     intransitive component meets it iff bit k of the walk's subset sums is
     set. With prune, the walk skips every subtree that an intransitive
-    component covers, so it yields only classes that no such component meets,
-    and it stops testing a class at the first component that meets it: the
-    signature is then only good for telling 0 from not 0. Bad pairings raise
-    ValueError here, before the walk starts.
+    component covers, and it yields only the classes that no component meets,
+    each with signature 0. Bad pairings raise ValueError before the first class.
     """
-    n = g.degree
-    cut = 0
-    sums_bits, tests, class_sets = [], [], []
+    n, alt = g.degree, g.kind is GroupKind.ALT
+    cut, sums_bits, rules = 0, [], []
     for i, d in enumerate(components):
-        rule = _coverage_rule(d, n, g.kind is GroupKind.ALT)
+        rule = _coverage_rule(d, n, alt)
         inner = d.inner if isinstance(d, IntersectAlt) else d
-        if isinstance(rule, frozenset):
-            class_sets.append((1 << i, rule))
-        elif not isinstance(inner, Intransitive):
-            tests.append((1 << i, rule))
+        if not isinstance(inner, Intransitive):
+            rules.append((1 << i, rule))
         elif prune:
             cut |= (1 << inner.k) | (1 << (n - inner.k))
         else:
             sums_bits.append((1 << i, 1 << inner.k))
-    classes = _classes(n, g.kind is GroupKind.ALT, cut)
-
-    def signed():
-        for parts, tag, sums in classes:
-            sig = 0
-            for bit, k in sums_bits:
-                if sums & k:
-                    sig |= bit
-            for bit, test in tests:
-                if not (prune and sig) and test(parts):
-                    sig |= bit
-            for bit, met in class_sets:
-                if not (prune and sig) and (parts, tag) in met:
-                    sig |= bit
+    for parts, tag, sums in _classes(n, alt, cut):
+        sig = 0
+        for bit, k in sums_bits:
+            if sums & k:
+                sig |= bit
+        for bit, rule in rules:
+            if rule(parts, tag):
+                sig |= bit
+                if prune:
+                    break
+        if not (prune and sig):
             yield parts, tag, sig
-
-    return signed()
 
 
 def class_coverage(d: SubgroupDescriptor, g: GroupId) -> frozenset[ClassId]:

@@ -110,6 +110,8 @@ def test_group_id():
         GroupId.alt(3)
     with pytest.raises(ValueError):
         GroupId.parse("X9")
+    with pytest.raises(ValueError, match="cannot parse group 'S²'"):
+        GroupId.parse("S²")
 
 
 def test_class_and_group_ids_order_totally():

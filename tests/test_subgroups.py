@@ -18,6 +18,7 @@ from normcov.cycle_types import (
     Parity,
     SplitTag,
     is_split,
+    parity,
     partitions,
 )
 from normcov.cli import main
@@ -42,6 +43,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
+    _coverage_rule,
     _generator_records,
     _named,
     catalog_to_json,
@@ -307,6 +309,21 @@ def test_sym_coverage_matches_exhaustive():
             assert class_coverage(d, g) == frozenset(ClassId(t) for t in spec), (str(g), str(d))
             checked += 1
     assert checked == 33
+
+
+def test_alt_rule_is_the_sym_rule_behind_a_parity_test():
+    # alt:X tests parity itself: no odd type, and X's S_n answer on every even one
+    checked = 0
+    for n in range(5, 10):
+        for d in load_catalog(GroupId.sym(n)).descriptors:
+            if isinstance(d, FullAlternating):
+                continue
+            alt_rule, sym_rule = _coverage_rule(IntersectAlt(d), n, True), _coverage_rule(d, n, False)
+            for t in partitions(n):
+                want = parity(t) is Parity.EVEN and sym_rule(t.parts, SplitTag.NOT_SPLIT)
+                assert alt_rule(t.parts, SplitTag.NOT_SPLIT) == want, (n, str(d), str(t))
+                checked += 1
+    assert checked == 448
 
 
 def test_alt_coverage_guards():
