@@ -10,7 +10,6 @@ nothing on stdout. Every JSON file is read by subgroups._load_json.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -57,7 +56,7 @@ def cmd_verify(args):
     else:
         raise ValueError("verify needs --file or --family")
     report = verify_basic_set(basic)
-    # report.to_json() reads the coverage matrix, one unpruned walk over every class
+    # report.to_json() names the classes each component meets, from one unpruned walk over every class
     payload = {"basic_set": basic.to_json(), "report": report.to_json()} if args.format == "json" else {}
     lines = [f"group {basic.group}: {len(basic.components)} components"]
     for d in basic.components:
@@ -230,7 +229,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     try:
-        print(json.dumps(payload, indent=2) if args.format == "json" else text, flush=True)
+        if args.format != "json":
+            print(text, flush=True)
+        else:
+            import json  # loaded by file reads and JSON output only, so text commands start sooner
+            json.dump(payload, sys.stdout, indent=2)  # streamed, with no second copy of the text
+            print(flush=True)
     except BrokenPipeError:
         # The reader left early; send the rest, and the flush at exit, nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

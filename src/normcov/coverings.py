@@ -8,7 +8,6 @@ found by one lexicographic search over rows of minimal class signatures.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
 from ._value import Value
@@ -114,28 +113,36 @@ class CoverReport(Value):
         object.__setattr__(self, "uncovered", uncovered)
         object.__setattr__(self, "components", components)
 
+    def _met(self, item) -> list[list]:
+        """Each component's list of item(parts, tag), one for each class it meets, in class order.
+
+        One unpruned walk a call, with item made once a class: the report keeps no matrix, so it stays small.
+        """
+        met: list[list] = [[] for _ in self.components]
+        for parts, tag, sig in _signatures(self.group, self.components):
+            if sig:
+                x = item(parts, tag)
+                for i, classes in enumerate(met):
+                    if sig >> i & 1:
+                        classes.append(x)
+        return met
+
     @property
     def coverage_matrix(self) -> dict[SubgroupDescriptor, frozenset[ClassId]]:
-        """The classes each component meets, from one signature walk on each read.
-
-        The report does not keep the matrix, so it stays as small as its
-        uncovered list; to_json reads it once.
-        """
-        met: list[list[ClassId]] = [[] for _ in self.components]
-        for parts, tag, sig in _signatures(self.group, self.components):
-            cid = ClassId(_cycle_type(parts), tag)
-            for i, classes in enumerate(met):
-                if sig >> i & 1:
-                    classes.append(cid)
+        """The classes each component meets, from one walk on each read."""
+        met = self._met(lambda parts, tag: ClassId(_cycle_type(parts), tag))
         return {d: frozenset(classes) for d, classes in zip(self.components, met)}
 
     def to_json(self) -> dict:
-        name = lru_cache(maxsize=None)(str)  # a class met by several components is named once
+        # each class is named once, as str(ClassId) spells it, with no ClassId made
+        met = self._met(lambda parts, tag: "[" + ",".join(map(str, parts)) + "]" + tag.value)
+        for names in met:
+            names.sort()
         return {
             "group": self.group.name,
             "covered": self.covered,
             "uncovered": [str(c) for c in self.uncovered],
-            "coverage": {str(d): sorted(map(name, cov)) for d, cov in self.coverage_matrix.items()},
+            "coverage": {str(d): names for d, names in zip(self.components, met)},
         }
 
 

@@ -2,7 +2,7 @@
 
 A descriptor names a conjugacy class of subgroups symbolically. Membership of
 a cycle type is decided by subset sums for the intransitive family, for
-S_b wr S_c by two closed rules and else one flat search over part counts
+S_b wr S_c by four closed rules and else one flat search over part counts
 (_wreath_cover), by parity for the alternating group, and by the exact type
 spectrum for named groups. One function, _coverage_rule, gives every
 component one predicate on (parts, split tag) for the classes of S_n or A_n
@@ -18,9 +18,9 @@ spectrum, and the A_n classes of an all-even group. Both are read off the
 two-point slice of a record's class 1, built once from its point stabiliser,
 so no record is closed whole there, and class 2 is never resolved on its own.
 named_group still closes the whole group, afresh on every call, and caches
-nothing; _wreath_cover caches whole (parts, b) queries. The caches are
-lru_caches, which keep their own state consistent under threads; a race at
-worst resolves a group twice.
+nothing; _wreath_search caches the (parts, b) queries that no closed rule
+settles. The caches are lru_caches, which keep their own state consistent
+under threads; a race at worst resolves a group twice.
 
 One loader, _load_json, reads every JSON file the package takes: basic sets,
 user and built-in catalogs, and generators.json. A missing file or one that
@@ -30,7 +30,6 @@ by field, through _json_field, when the file loads.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from functools import lru_cache
@@ -257,6 +256,7 @@ def data_dir() -> Path:
 
 def _load_json(path: str | Path, what: str):
     """The JSON document in the file at path; CatalogError naming what if it is missing or no JSON."""
+    import json  # loaded by file reads and JSON output only, so text commands start sooner
     path = Path(path)
     if not path.exists():
         raise CatalogError(f"{what} not found: {path}")
@@ -433,18 +433,34 @@ def _subset_sum(parts: tuple[int, ...], target: int) -> bool:
     return bool((mask >> target) & 1)
 
 
-@lru_cache(maxsize=250000)
 def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
     """Does S_b wr S_c hold a permutation with these descending cycle lengths?
 
     A top cycle of length d over a block product of type mu gives the cycles
-    d*mu; so parts all multiples of b, or all of c, are held. Else, over part
-    value counts, the largest part v left opens an orbit of d blocks, d | v,
-    v <= d*b <= points left, filled with parts divisible by d one at a time
-    from value index j on. Counts left between orbits are searched once.
+    d*mu; so parts all multiples of b, or all of c, are held. For b = 2 each
+    top cycle gives (2d) or (d, d), so the type is held iff every odd part
+    value occurs an even number of times. For c = 2 the identity on top
+    gives two types of b side by side, and the swap all-even parts, held
+    already; so some parts must sum to b, tested while the subset-sum mask
+    fits. Every other query goes to _wreath_search.
     """
-    if (g := gcd(*parts)) % b == 0 or g % (sum(parts) // b) == 0:
+    n = sum(parts)
+    if (g := gcd(*parts)) % b == 0 or g % (n // b) == 0:
         return True
+    if b == 2:
+        odd = [p for p in parts if p % 2]
+        return odd[::2] == odd[1::2]
+    if n == 2 * b and n < _MAX_SUBSET_SUM_BITS:
+        return _subset_sum(parts, b)
+    return _wreath_search(parts, b)
+
+
+@lru_cache(maxsize=250000)
+def _wreath_search(parts: tuple[int, ...], b: int) -> bool:
+    """_wreath_cover by search over part value counts: the largest part v left
+    opens an orbit of d blocks, d | v, v <= d*b <= points left, filled with
+    parts divisible by d one at a time from value index j on. Counts left
+    between orbits are searched once."""
     values = sorted(set(parts), reverse=True)
     stack, seen = [(tuple(map(parts.count, values)), 0, 0, 0)], set()
     while stack:

@@ -204,6 +204,38 @@ def test_verify_roundtrip_matches_direct(capsys, tmp_path):
     assert payload["report"] == direct
 
 
+def test_verify_json_is_one_dump_of_the_payload(capsys):
+    # stdout is written as it is encoded; its text must be that of json.dumps, split A_n classes included
+    for family in ("upper_sym", "upper_alt_even"):
+        basic = construct_delta(family, n=12)
+        payload = {"basic_set": basic.to_json(), "report": verify_basic_set(basic).to_json()}
+        code, out, err = run(capsys, "verify", "--family", family, "--n", "12", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payload, indent=2) + "\n", family
+    assert "[11,1]+" in payload["report"]["coverage"]["alt:intransitive:1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def test_verify_json_at_degree_40_in_bounded_memory():
+    # The child prints its own peak RSS: ru_maxrss from os.wait4 starts at
+    # the spawner's high-water mark, here pytest's. The whole report took
+    # about 80 MB when each component's classes were held as ClassIds and
+    # the JSON text was built whole before it was written.
+    code = (
+        "import sys\n"
+        "from normcov.cli import main\n"
+        "code = main(['verify', '--family', 'upper_sym', '--n', '40', '--format', 'json'])\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1], file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120
+    )
+    status, kib = map(int, proc.stderr.split())
+    assert status == 0
+    assert kib <= 60 * 1024, f"peak RSS {kib / 1024:.1f} MB above the 60 MB ceiling"
+
+
 # --- gamma and table3 ---------------------------------------------------------
 
 
@@ -392,6 +424,23 @@ def test_membership_at_a_huge_degree():
     )
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith(f"error: subset sums up to k={k} need more than "), proc.stderr
+
+
+def test_membership_with_blocks_of_two_or_two_blocks_at_a_huge_degree():
+    # S_2 wr S_c pairs the odd parts, so a 31-digit degree needs no primality test;
+    # S_b wr S_2 with b past the subset-sum mask goes to the search, which answers too
+    cases = (
+        (
+            "2000000000000000000000000000114",
+            "imprimitive:2,1000000000000000000000000000057",
+            "[1000000000000000000000000000059,1000000000000000000000000000055]",
+        ),
+        ("200000000000000000000", "imprimitive:100000000000000000000,2", "[100000000000000000001,99999999999999999999]"),
+    )
+    for n, d, t in cases:
+        proc = _capped("membership", n, d, t)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout.startswith(f"{t} in {d}: no "), proc.stdout
 
 
 def test_too_deep_input_is_an_error(capsys, tmp_path):

@@ -216,6 +216,14 @@ def test_walk_agrees_with_sweep():
     assert check_walk_agrees(28, 20) > 300
 
 
+def test_json_coverage_is_the_matrix_named():
+    # to_json names the raw classes itself; each list must be the matrix's, spelt and sorted as str(ClassId)
+    for b in family_sets(28):
+        rep = verify_basic_set(b)
+        want = {str(d): sorted(map(str, cov)) for d, cov in rep.coverage_matrix.items()}
+        assert rep.to_json()["coverage"] == want, b.provenance
+
+
 def _component_pool(g):
     n = g.degree
     sym_level = [Intransitive(n, k) for k in range(1, n // 2 + 1)]

@@ -46,6 +46,8 @@ from normcov.subgroups import (
     _coverage_rule,
     _generator_records,
     _named,
+    _subset_sum,
+    _wreath_search,
     catalog_to_json,
     class_coverage,
     contains_type,
@@ -240,6 +242,30 @@ def test_imprimitive_membership_against_element_shapes():
                     assert t.parts in spec or any(p % m for p in t.parts), (b, n // b, m, str(t))
             pairs += len(types)
     assert pairs == 80240
+
+
+def test_closed_wreath_rules_for_blocks_of_two_and_two_blocks():
+    # S_2 wr S_c holds a type iff each odd part value occurs an even number of
+    # times; S_b wr S_2 iff some parts sum to b or all parts are even. Neither
+    # reaches the search, so its cache sees no query
+    pairs = 0
+    for n in range(4, 31, 2):
+        types = partitions(n)
+        for b in sorted({2, n // 2}):
+            c = n // b
+            d, spec = Imprimitive(n, b, c), _wreath_types(b, c)
+            before = _wreath_search.cache_info()
+            for t in types:
+                held = t.parts in spec
+                if b == 2:
+                    assert all(t.parts.count(p) % 2 == 0 for p in t.parts if p % 2) == held, (n, str(t))
+                if c == 2:
+                    assert (_subset_sum(t.parts, b) or all(p % 2 == 0 for p in t.parts)) == held, (n, str(t))
+                assert contains_type(d, t) == held, (b, c, str(t))
+            after = _wreath_search.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses), (b, c)
+            pairs += len(types)
+    assert pairs == 31735
 
 
 # --- coverage -------------------------------------------------------------------
