@@ -7,6 +7,9 @@ operator.attrgetter(*__slots__), the repr "Name(field=value, ...)", refusal of
 assignment and deletion, and copy and pickle by calling the class on its
 fields again. Ordered adds <, <=, > and >= on the key. Nothing is generated by
 exec, so defining a class costs next to nothing at import.
+
+_value.Fraction makes a fractions.Fraction and imports the module on its first
+call: fractions pulls in decimal and numbers, which most commands never need.
 """
 
 from __future__ import annotations
@@ -58,3 +61,12 @@ class Ordered(Value):
 
     __slots__ = ()
     __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
+
+
+def Fraction(*args):
+    # The first call imports fractions and rebinds this name to fractions.Fraction itself, so each
+    # later _value.Fraction(...) costs one attribute lookup and no import.
+    global Fraction
+    from fractions import Fraction
+
+    return Fraction(*args)

@@ -9,9 +9,9 @@ the usable integer ceiling alongside.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
+from . import _value
 from ._value import Value
 from .cycle_types import GroupId, GroupKind
 from .numtheory import _phi, _phi_interval, factorize, primes_up_to
@@ -73,7 +73,7 @@ def totient_lower(g: GroupId) -> Fraction:
     n = g.degree
     if n < 5:
         raise ValueError(f"totient lower bound needs n >= 5, got {n}")
-    return Fraction(*_totient_lower(g, factorize(n)))
+    return _value.Fraction(*_totient_lower(g, factorize(n)))
 
 
 def _totient_lower(g: GroupId, fac: list[tuple[int, int]]) -> tuple[int, int]:
@@ -170,7 +170,7 @@ def power_of_two_band(alpha: int) -> tuple[Fraction, int]:
     if alpha < 2:
         raise ValueError(f"need alpha >= 2, got {alpha}")
     q = 2 ** (alpha - 2)
-    return Fraction(q + 2, 3), q + 1
+    return _value.Fraction(q + 2, 3), q + 1
 
 
 class BoundReport(Value):
@@ -259,7 +259,7 @@ def bounds_report(g: GroupId) -> BoundReport:
 
     return BoundReport(
         group=g,
-        lower=Fraction(num, den),
+        lower=_value.Fraction(num, den),
         lower_ceil=-(-num // den),
         upper=min(uppers),
         exact=exact,

@@ -1,17 +1,19 @@
 """Command-line surface: bounds, verification, exact minima and type listings.
 
-Each subparser names its handler, which takes the parsed arguments and returns
-(exit code, JSON payload, text); main prints the payload with --format json and
-the text otherwise. Exit codes: 0 for success, 1 for a basic set that fails to
-cover, 2 for any error, which main reports as "error: ..." on stderr with
-nothing on stdout. Every JSON file is read by subgroups._load_json.
+Each entry of the command table _COMMANDS names its handler, which takes the
+parsed arguments and returns (exit code, JSON payload, text); main prints the
+payload with --format json and the text otherwise. Exit codes: 0 for success,
+1 for a basic set that fails to cover, 2 for any error, an argument error
+included, which main reports as "error: ..." on stderr with nothing on stdout.
+Every JSON file is read by subgroups._load_json.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .bounds import bounds_report
 from .coverings import BasicSet, construct_delta, delta_families, exact_gamma, verify_basic_set
@@ -156,73 +158,117 @@ def cmd_catalog(args):
     return OK, payload, "\n".join(lines)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="normcov",
-        description="Normal coverings of symmetric and alternating groups: "
-        "bounds, verification and exact minimal basic sets.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+_SYM_ALT, _HELP = ("sym", "alt"), ("-h", "--help")
+_FORMAT = {"--format": (str, ("text", "json"))}
+_DEGREE_GROUP = {"n": (int, None), "group": (str, _SYM_ALT)}
+# A token that is a value, not an option: one not starting with "-", a lone "-" or a negative number.
+_VALUE = re.compile(r"(?!-)|-(?:\d+|\d*\.\d+)?$")
 
-    p = sub.add_parser("bounds", parents=[common], help="print all applicable bounds")
-    p.add_argument("n", type=int)
-    p.add_argument("group", choices=("sym", "alt"))
-    p.set_defaults(run=cmd_bounds)
+# name: (handler, help, positionals, options). A positional or an option maps its name to (type,
+# choices); an option of type None is a flag, True when given and None otherwise. Every command
+# takes --format and -h/--help. The first line of the help is the command's summary.
+_COMMANDS = {
+    "bounds": (cmd_bounds, "print all applicable bounds", _DEGREE_GROUP, _FORMAT),
+    "verify": (cmd_verify, "check that a basic set covers\n--file reads a basic set JSON file, --family builds a "
+               "named construction,\n--big-blocks uses the wreath product with large blocks", {},
+               {**_FORMAT, "--file": (str, None), "--family": (str, tuple(delta_families())),
+                **dict.fromkeys(("--n", "--p", "--q", "--alpha", "--beta"), (int, None)),
+                "--group": (str, _SYM_ALT), "--big-blocks": (None, None)}),
+    "gamma": (cmd_gamma, "exact minimal basic set size\n--catalog reads a user catalog JSON file", _DEGREE_GROUP,
+              {**_FORMAT, "--catalog": (str, None)}),
+    "table3": (cmd_table3, "exact values for degrees 3..12", {}, _FORMAT),
+    "membership": (cmd_membership, "does a class contain a type\ndescriptor syntax: 'intransitive:K', "
+                   "'imprimitive:B,C', 'alternating', 'named:NAME[:CLASS]',\nand 'alt:...' for the intersection of "
+                   "any of these with the alternating group;\ntype is a cycle type in bracket syntax, e.g. '[1,2,9]'; "
+                   "part order is ignored",
+                   {"n": (int, None), "descriptor": (str, None), "type": (str, None)}, _FORMAT),
+    "types": (cmd_types, "list a distinguished type family\n--interval is the interval for t_prime, e.g. '[1,3)'",
+              {"n": (int, None), "family": (str, ("u", "t", "t_prime"))}, {**_FORMAT, "--interval": (str, None)}),
+    "catalog": (cmd_catalog, "dump a built-in catalog", _DEGREE_GROUP, _FORMAT),
+}
 
-    p = sub.add_parser("verify", parents=[common], help="check that a basic set covers")
-    p.add_argument("--file", help="basic set JSON file")
-    p.add_argument("--family", choices=delta_families(), help="named construction")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--beta", type=int)
-    p.add_argument("--group", choices=("sym", "alt"))
-    p.add_argument("--big-blocks", action="store_true", default=None,
-                   help="use the wreath product with large blocks")
-    p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("gamma", parents=[common], help="exact minimal basic set size")
-    p.add_argument("n", type=int)
-    p.add_argument("group", choices=("sym", "alt"))
-    p.add_argument("--catalog", help="user catalog JSON file")
-    p.set_defaults(run=cmd_gamma)
+def _help(command: str | None) -> SimpleNamespace:
+    """A pseudo-command printing the help of one command, or of the program for None."""
+    if command is None:
+        lines = ["usage: normcov [-h] COMMAND ...", "", "Normal coverings of symmetric and alternating groups: "
+                 "bounds, verification and exact minimal basic sets.", "", "commands:"]
+        lines += [f"  {name:<11} {spec[1].splitlines()[0]}" for name, spec in _COMMANDS.items()]
+        lines += ["", "Run 'normcov COMMAND -h' for the arguments of one command."]
+    else:
+        _, text, positionals, options = _COMMANDS[command]
+        words = [f"usage: normcov {command} [-h]"]
+        words += [f"[{name}]" if kind is None else f"[{name} {_metavar(name[2:].upper(), choices)}]"
+                  for name, (kind, choices) in options.items()]
+        lines = [" ".join(words + [_metavar(name, choices) for name, (_, choices) in positionals.items()]), "", text]
+    return SimpleNamespace(run=lambda _: (OK, {}, "\n".join(lines)), format="text")
 
-    p = sub.add_parser("table3", parents=[common], help="exact values for degrees 3..12")
-    p.set_defaults(run=cmd_table3)
 
-    p = sub.add_parser(
-        "membership",
-        parents=[common],
-        help="does a class contain a type",
-        epilog="descriptor syntax: 'intransitive:K', 'imprimitive:B,C', "
-        "'alternating', 'named:NAME[:CLASS]', and 'alt:...' for the "
-        "intersection of any of these with the alternating group",
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("descriptor", help="e.g. 'imprimitive:3,4' or 'alt:intransitive:2'")
-    p.add_argument("type", help="cycle type in bracket syntax, e.g. '[1,2,9]'; part order is ignored")
-    p.set_defaults(run=cmd_membership)
+def _metavar(name: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else name
 
-    p = sub.add_parser("types", parents=[common], help="list a distinguished type family")
-    p.add_argument("n", type=int)
-    p.add_argument("family", choices=("u", "t", "t_prime"))
-    p.add_argument("--interval", help="interval for t_prime, e.g. '[1,3)'")
-    p.set_defaults(run=cmd_types)
 
-    p = sub.add_parser("catalog", parents=[common], help="dump a built-in catalog")
-    p.add_argument("n", type=int)
-    p.add_argument("group", choices=("sym", "alt"))
-    p.set_defaults(run=cmd_catalog)
+def _option(token: str, names) -> str | None:
+    """The name that token spells, in full or as a unique prefix of a --name; None if it spells none."""
+    hits = [token] if token in names else [name for name in names if token[:2] == "--" and name.startswith(token)]
+    if len(hits) > 1:
+        raise ValueError(f"ambiguous option: {token} could match {', '.join(hits)}")
+    return hits[0] if hits else None
 
-    return parser
+
+def _convert(name: str, kind, choices, text: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The handler and arguments of a command line, read as argparse read them: --opt=value or
+    --opt value, the last of a repeated option, options among positionals. Raises ValueError."""
+    if argv and _option(argv[0], _HELP):
+        return _help(None)
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    run, _, positionals, options = _COMMANDS[_convert("command", str, _COMMANDS, argv[0])]
+    args = SimpleNamespace(run=run, **{name[2:].replace("-", "_"): None for name in options} | {"format": "text"})
+    values, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            values += tokens  # every later token is a positional
+        elif _VALUE.match(token):
+            values.append(token)
+        else:
+            name, eq, text = token.partition("=")
+            option = _option(name, [*options, *_HELP])
+            if option is None:
+                raise ValueError(f"unrecognized arguments: {token}")
+            if option in _HELP:
+                return _help(argv[0])
+            kind, choices = options[option]
+            if kind is None and eq:
+                raise ValueError(f"argument {option}: ignored explicit argument {text!r}")
+            if kind is not None and not eq:
+                text = next(tokens, "--")  # no token left reads as the next option
+                if not _VALUE.match(text):
+                    raise ValueError(f"argument {option}: expected one argument")
+            value = True if kind is None else _convert(option, kind, choices, text)
+            setattr(args, option[2:].replace("-", "_"), value)
+    if len(values) < len(positionals):
+        raise ValueError(f"the following arguments are required: {', '.join(list(positionals)[len(values):])}")
+    if len(values) > len(positionals):
+        raise ValueError(f"unrecognized arguments: {' '.join(values[len(positionals):])}")
+    for (name, (kind, choices)), text in zip(positionals.items(), values):
+        setattr(args, name, _convert(name, kind, choices, text))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         code, payload, text = args.run(args)
     # CatalogError and json.JSONDecodeError are ValueErrors
     except (ValueError, OSError, OverflowError, RecursionError) as exc:

@@ -9,10 +9,10 @@ bound arguments.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd
 
+from . import _value
 from ._value import Ordered
 from .numtheory import Interval, a_of_n
 
@@ -280,7 +280,7 @@ def t_prime_set(n: int, interval: Interval) -> list[CycleType]:
     if n % 6 != 0 or n < 12:
         raise ValueError(f"t_prime_set needs n >= 12 divisible by 6, got {n}")
     m = n // 3
-    half_m = Fraction(m, 2)
+    half_m = _value.Fraction(m, 2)
     hi_ok = interval.hi < half_m or (interval.hi == half_m and interval.hi_open)
     if interval.lo < 1 or not hi_ok:
         raise ValueError(f"interval {interval} not contained in [1, {half_m})")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from itertools import count
 from math import ceil, floor, gcd, isqrt
 
+from . import _value
 from ._value import Value
 
 __all__ = [
@@ -259,7 +259,7 @@ class Interval(Value):
     def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = True) -> None:
         if isinstance(lo, float) or isinstance(hi, float):
             raise ValueError(f"interval endpoints must be exact, not floats: lo={lo!r}, hi={hi!r}")
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _value.Fraction(lo), _value.Fraction(hi)
         if lo < 0:
             raise ValueError(f"interval endpoints must be nonnegative, got lo={lo}")
         if lo > hi:
@@ -277,7 +277,7 @@ class Interval(Value):
             raise ValueError(f"cannot parse interval {text!r}")
         lo_b, lo_s, hi_s, hi_b = m.groups()
         try:
-            lo, hi = Fraction(lo_s), Fraction(hi_s)
+            lo, hi = _value.Fraction(lo_s), _value.Fraction(hi_s)
         except ZeroDivisionError:
             raise ValueError(f"cannot parse interval {text!r}: zero denominator") from None
         except ValueError:  # only Python's limit on digits per integer conversion fails a matched endpoint

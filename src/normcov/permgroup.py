@@ -14,9 +14,9 @@ alt_class_coverage wraps it, and type_spectrum reads the lengths alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from .cycle_types import ClassId, CycleType, Parity, SplitTag, _is_even, _splits, is_split
 

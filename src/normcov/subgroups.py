@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 from functools import lru_cache
 from math import gcd
 from operator import mul
 from pathlib import Path
-from typing import Callable, Union
 
 from ._value import Ordered, Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _cycle_type, _is_even
@@ -133,7 +133,7 @@ class IntersectAlt(Ordered):
 
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Union[Intransitive, Imprimitive, NamedGroup]) -> None:
+    def __init__(self, inner: Intransitive | Imprimitive | NamedGroup) -> None:
         if isinstance(inner, (FullAlternating, IntersectAlt)):
             raise ValueError("intersect_alt must wrap an S_n-level class other than A_n")
         object.__setattr__(self, "inner", inner)
@@ -146,7 +146,7 @@ class IntersectAlt(Ordered):
         return f"alt:{self.inner}"
 
 
-SubgroupDescriptor = Union[Intransitive, Imprimitive, FullAlternating, NamedGroup, IntersectAlt]
+SubgroupDescriptor = Intransitive | Imprimitive | FullAlternating | NamedGroup | IntersectAlt
 
 
 def descriptor_sort_key(d: SubgroupDescriptor):

@@ -646,6 +646,68 @@ def test_closed_stdout_exits_quietly():
     assert b"Traceback" not in err and b"BrokenPipe" not in err
 
 
+# --- argument parsing ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no command"),
+        pytest.param(["frobnicate", "5"], id="unknown command"),
+        pytest.param(["verify", "--family", "upper_sym", "--n", "x"], id="bad int"),
+        pytest.param(["bounds", "5", "sideways"], id="bad choice"),
+        pytest.param(["bounds", "5"], id="missing positional"),
+        pytest.param(["bounds", "5", "sym", "extra"], id="extra positional"),
+        pytest.param(["bounds", "5", "sym", "--bogus"], id="unknown option"),
+        pytest.param(["verify", "--n", "12", "--family"], id="option without its value"),
+        pytest.param(["verify", "--f", "upper_sym"], id="ambiguous prefix"),
+    ],
+)
+def test_argument_errors_keep_the_one_line_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_argument_forms_kept_from_argparse():
+    proc = _capped("bounds", "8", "alt", "--format=json")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["exact"] == 2
+    full = _capped("verify", "--family", "sym_prime", "--p", "7")
+    prefix = _capped("verify", "--fam", "sym_prime", "--p", "7")
+    assert full.returncode == prefix.returncode == 0 and full.stdout == prefix.stdout != ""
+    # a repeated option takes its last value
+    proc = _capped("verify", "--family", "upper_sym", "--n", "12", "--n", "14")
+    assert proc.returncode == 0 and proc.stdout.startswith("group S14:"), proc.stderr
+    # a negative integer is a positional, refused by the library itself
+    proc = _capped("bounds", "-5", "sym")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: S_n needs degree >= 3, got -5\n")
+    small = _capped("verify", "--family", "upper_sym", "--n", "12")
+    big = _capped("verify", "--big-blocks", "--family", "upper_sym", "--n", "12")
+    assert "  imprimitive:2,6\n" in small.stdout and "  imprimitive:6,2\n" in big.stdout, (small.stdout, big.stdout)
+
+
+_FLAGS = {
+    "bounds": [],
+    "verify": ["--file", "--family", "--n", "--p", "--q", "--alpha", "--beta", "--group", "--big-blocks"],
+    "gamma": ["--catalog"],
+    "table3": [],
+    "membership": [],
+    "types": ["--interval"],
+    "catalog": [],
+}
+
+
+def test_help_exits_0_and_names_every_command_and_flag():
+    for flag in ("-h", "--help"):
+        proc = _capped(flag)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout.startswith("usage: normcov") and all(f"  {cmd} " in proc.stdout for cmd in _FLAGS)
+    for cmd, flags in _FLAGS.items():
+        proc = _capped(cmd, "--help")
+        assert (proc.returncode, proc.stderr) == (0, ""), (cmd, proc.stderr)
+        assert proc.stdout.startswith(f"usage: normcov {cmd} ")
+        assert all(f"[{flag}" in proc.stdout for flag in ["-h", "--format", *flags]), (cmd, proc.stdout)
+
+
 # --- output stability ---------------------------------------------------------------
 
 _SEED_COMMANDS = [

@@ -164,13 +164,20 @@ def test_sort_orders():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site hooks out, so only the import itself can load them
+    # -S keeps site hooks out, so only the import itself can load them; the CLI parses its own
+    # arguments, and fractions (with decimal and numbers) loads on the first Fraction made
     src = str(Path(normcov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, normcov.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unloaded = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+    code = (
+        f"import sys, normcov.cli; print(sorted({unloaded!r} & set(sys.modules)))\n"
+        "from fractions import Fraction\n"
+        "from normcov import GroupId, Interval, bounds_report\n"
+        "print(type(bounds_report(GroupId.sym(16)).lower) is Fraction, type(Interval.parse('[1/2,3)').lo) is Fraction)"
+    )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "True True", ""]
 
 
 def test_import_leaves_json_unloaded():
