@@ -17,10 +17,10 @@ tuples, _named, keyed on the descriptor and the data directory. It gives the
 spectrum, and the A_n classes of an all-even group. Both are read off the
 two-point slice of a record's class 1, built once from its point stabiliser,
 so no record is closed whole there, and class 2 is never resolved on its own.
-named_group still closes the whole group, afresh on every call, and caches
-nothing; _wreath_search caches the (parts, b) queries that no closed rule
-settles. The caches are lru_caches, which keep their own state consistent
-under threads; a race at worst resolves a group twice.
+named_group closes the whole group afresh on every call. _named is the one
+cache: an lru_cache, which keeps its own state consistent under threads, so
+a race at worst resolves a group twice. Wreath queries and record lookups
+are not cached: each reads only its own parts, or generators.json afresh.
 
 One loader, _load_json, reads every JSON file the package takes: basic sets,
 user and built-in catalogs, and generators.json. A missing file or one that
@@ -276,9 +276,8 @@ _RECORD_FIELDS = (
 )
 
 
-@lru_cache(maxsize=8)
 def _generator_records(data: str) -> dict[str, dict]:
-    """The records of generators.json by name, each field checked; CatalogError naming a bad record."""
+    """The records of generators.json by name, read afresh and each field checked; CatalogError naming a bad record."""
     path = Path(data) / "generators.json"
     doc = _load_json(path, "generator data file")
     if type(doc) is not list:
@@ -455,7 +454,6 @@ def _wreath_cover(parts: tuple[int, ...], b: int) -> bool:
     return _wreath_search(parts, b)
 
 
-@lru_cache(maxsize=250000)
 def _wreath_search(parts: tuple[int, ...], b: int) -> bool:
     """_wreath_cover by search over part value counts: the largest part v left
     opens an orbit of d blocks, d | v, v <= d*b <= points left, filled with

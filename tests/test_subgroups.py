@@ -44,7 +44,6 @@ from normcov.subgroups import (
     Intransitive,
     NamedGroup,
     _coverage_rule,
-    _generator_records,
     _named,
     _subset_sum,
     _wreath_search,
@@ -244,17 +243,23 @@ def test_imprimitive_membership_against_element_shapes():
     assert pairs == 80240
 
 
-def test_closed_wreath_rules_for_blocks_of_two_and_two_blocks():
+def test_closed_wreath_rules_for_blocks_of_two_and_two_blocks(monkeypatch):
     # S_2 wr S_c holds a type iff each odd part value occurs an even number of
     # times; S_b wr S_2 iff some parts sum to b or all parts are even. Neither
-    # reaches the search, so its cache sees no query
+    # reaches the search, which a spy counts
+    searched = []
+
+    def spy(parts, b):
+        searched.append((parts, b))
+        return _wreath_search(parts, b)
+
+    monkeypatch.setattr("normcov.subgroups._wreath_search", spy)
     pairs = 0
     for n in range(4, 31, 2):
         types = partitions(n)
         for b in sorted({2, n // 2}):
             c = n // b
             d, spec = Imprimitive(n, b, c), _wreath_types(b, c)
-            before = _wreath_search.cache_info()
             for t in types:
                 held = t.parts in spec
                 if b == 2:
@@ -262,10 +267,12 @@ def test_closed_wreath_rules_for_blocks_of_two_and_two_blocks():
                 if c == 2:
                     assert (_subset_sum(t.parts, b) or all(p % 2 == 0 for p in t.parts)) == held, (n, str(t))
                 assert contains_type(d, t) == held, (b, c, str(t))
-            after = _wreath_search.cache_info()
-            assert (after.hits, after.misses) == (before.hits, before.misses), (b, c)
+            assert searched == [], (b, c)
             pairs += len(types)
     assert pairs == 31735
+    # the spy sees a query that no closed rule settles, so its silence above means something
+    assert contains_type(Imprimitive(12, 3, 4), CycleType((5, 4, 2, 1))) is False
+    assert searched == [((5, 4, 2, 1), 3)]
 
 
 # --- coverage -------------------------------------------------------------------
@@ -551,7 +558,6 @@ def test_generator_data_that_is_no_list_of_records(tmp_path, monkeypatch):
     gen_file = tmp_path / "data" / "generators.json"
     for text, word in (("{}", "not a list of records"), ('["M11"]', "malformed generator record 1"), ("[", "malformed generator data file")):
         gen_file.write_text(text)
-        _generator_records.cache_clear()
         with pytest.raises(CatalogError, match=word):
             named_group_names()
 

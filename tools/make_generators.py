@@ -35,53 +35,34 @@ def perm_from_map(n: int, fn) -> Perm:
 # --- small finite fields -------------------------------------------------
 
 class GF:
-    """GF(p^k) with a fixed irreducible polynomial; elements are ints (bit/digit packed)."""
+    """GF(p^k) with a fixed irreducible polynomial; an element is the int whose base-p digits are its coefficients."""
 
     def __init__(self, p: int, k: int, poly: list[int]):
         # poly: coefficients of the reduction polynomial x^k = poly[0] + poly[1] x + ...
-        self.p = p
-        self.k = k
-        self.size = p**k
-        self.poly = poly
+        self.p, self.k, self.size, self.poly = p, k, p**k, poly
 
     def digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return [a // self.p**i % self.p for i in range(self.k)]
 
     def undigits(self, ds: list[int]) -> int:
-        a = 0
-        for d in reversed(ds):
-            a = a * self.p + d % self.p
-        return a
+        """The element with coefficients ds, each reduced mod p here and nowhere else."""
+        return sum(d % self.p * self.p**i for i, d in enumerate(ds))
 
     def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return self.undigits([x + y for x, y in zip(self.digits(a), self.digits(b))])
 
     def mul(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
         prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        for d in range(2 * self.k - 2, self.k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j, coef in enumerate(self.poly):
-                    prod[d - self.k + j] = (prod[d - self.k + j] + c * coef) % self.p
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for d in range(2 * self.k - 2, self.k - 1, -1):  # x^d = x^(d-k) * x^k, highest degree first
+            for j, coef in enumerate(self.poly):
+                prod[d - self.k + j] += prod[d] * coef
         return self.undigits(prod[: self.k])
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError
-        for b in range(1, self.size):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError
+        return next(b for b in range(1, self.size) if self.mul(a, b) == 1)
 
     def pow(self, a: int, e: int) -> int:
         r = 1
@@ -89,19 +70,9 @@ class GF:
             r = self.mul(r, a)
         return r
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def generator(self) -> int:
-        for g in range(2, self.size):
-            seen = set()
-            x = 1
-            for _ in range(self.size - 1):
-                x = self.mul(x, g)
-                seen.add(x)
-            if len(seen) == self.size - 1:
-                return g
-        raise ValueError("no generator")
+        """The least element of multiplicative order size - 1."""
+        return next(g for g in range(2, self.size) if all(self.pow(g, e) != 1 for e in range(1, self.size - 1)))
 
 
 def pgammal2(field: GF) -> list[Perm]:
@@ -126,7 +97,7 @@ def pgammal2(field: GF) -> list[Perm]:
             return INF
         return field.inv(i)
 
-    frob = act(lambda i: field.frobenius(i) if i != INF else INF)
+    frob = act(lambda i: field.pow(i, field.p) if i != INF else INF)
     return [t, m, act(inv), frob]
 
 
