@@ -22,10 +22,13 @@ cache: an lru_cache, which keeps its own state consistent under threads, so
 a race at worst resolves a group twice. Wreath queries and record lookups
 are not cached: each reads only its own parts, or generators.json afresh.
 
-One loader, _load_json, reads every JSON file the package takes: basic sets,
-user and built-in catalogs, and generators.json. A missing file or one that
-is no JSON is a CatalogError naming it. Generator records are checked field
-by field, through _json_field, when the file loads.
+The built-in catalogs of S_3..S_12 and A_4..A_12 are computed, not read:
+_maximal gives the maximal classes of S_n by the Liebeck-Praeger-Saxl rule,
+and three small tables name the primitive groups and the meets with A_n that
+are not maximal. One loader, _load_json, reads every JSON file the package
+takes: basic sets, user catalogs and generators.json. A missing file or one
+that is no JSON is a CatalogError naming it. Generator records are checked
+field by field, through _json_field, when the file loads.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from collections.abc import Callable
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from pathlib import Path
 
 from ._value import Ordered, Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _cycle_type, _is_even
@@ -245,23 +247,23 @@ def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
 
 # What importlib.resources.files("normcov") / "data" gives for a package on disk,
 # without importing importlib.resources, which loads inspect on Python 3.12+.
-_PACKAGE_DATA = Path(__file__).parent / "data"
+_PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def data_dir() -> Path:
-    """Directory holding generators.json and catalogs/; NCK_DATA_DIR overrides."""
-    env = os.environ.get("NCK_DATA_DIR")
-    return Path(env) if env else _PACKAGE_DATA
+def data_dir() -> str:
+    """Directory holding generators.json; NCK_DATA_DIR overrides."""
+    return os.environ.get("NCK_DATA_DIR") or _PACKAGE_DATA
 
 
-def _load_json(path: str | Path, what: str):
+def _load_json(path: str | os.PathLike, what: str):
     """The JSON document in the file at path; CatalogError naming what if it is missing or no JSON."""
     import json  # loaded by file reads and JSON output only, so text commands start sooner
-    path = Path(path)
-    if not path.exists():
+    path = os.fspath(path)
+    if not os.path.exists(path):
         raise CatalogError(f"{what} not found: {path}")
     try:
-        return json.loads(path.read_text())
+        with open(path) as f:
+            return json.loads(f.read())
     except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed {what} {path}: {exc}") from exc
 
@@ -278,7 +280,7 @@ _RECORD_FIELDS = (
 
 def _generator_records(data: str) -> dict[str, dict]:
     """The records of generators.json by name, read afresh and each field checked; CatalogError naming a bad record."""
-    path = Path(data) / "generators.json"
+    path = os.path.join(data, "generators.json")
     doc = _load_json(path, "generator data file")
     if type(doc) is not list:
         raise CatalogError(f"malformed generator data file {path}: not a list of records")
@@ -295,7 +297,7 @@ def _generator_records(data: str) -> dict[str, dict]:
 
 
 def named_group_names() -> list[str]:
-    return sorted(_generator_records(str(data_dir())))
+    return sorted(_generator_records(data_dir()))
 
 
 def _record(data: str, degree: int, name: str, cls: int) -> dict:
@@ -318,7 +320,7 @@ def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
     generators are refused, and so are AGL1(p) and PGL2(p): they have no record.
     Nothing is cached: each call closes the whole group afresh.
     """
-    return _from_record(str(data_dir()), degree, name, cls, _closed)
+    return _from_record(data_dir(), degree, name, cls, _closed)
 
 
 def _closed(degree: int, gens: list[Perm], order: int) -> GeneratedGroup:
@@ -389,7 +391,7 @@ def _named(
 ) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[tuple[int, ...], SplitTag]] | None]:
     """d's raw spectrum, and its raw (parts, split tag) A_n classes if d is all even, else None.
 
-    data is str(data_dir()). The one place that tells a closed form from a
+    data is data_dir(). The one place that tells a closed form from a
     record: AGL1(p) and PGL2(p) have a single class and hold odd permutations.
     A record's class 1 is never closed whole: both answers come from its
     two-point slice (_two_point_slice), built once from the point stabiliser
@@ -513,7 +515,7 @@ def _coverage_rule(d: SubgroupDescriptor, n: int, alt: bool) -> Callable[[tuple[
     elif isinstance(inner, FullAlternating):
         rule = lambda parts, tag: _is_even(parts)
     else:
-        types, classes = _named(inner, str(data_dir()))
+        types, classes = _named(inner, data_dir())
         if alt and inner is d:
             if classes is None:
                 raise ValueError("group contains odd permutations; intersect with A_n first")
@@ -600,18 +602,57 @@ def catalog_to_json(cat: Catalog) -> dict:
     }
 
 
-def load_catalog(g: GroupId | None = None, path: str | Path | None = None) -> Catalog:
-    """Load the built-in catalog for g, or a user catalog from path.
+# The Liebeck-Praeger-Saxl rule (J. Algebra 111, 1987) needs only these tables
+# up to degree 12: the primitive maximal class of S_n, the all-even primitive
+# group with two classes in A_n, and five meets with A_n that lie in a class
+# of that group and so are not maximal: AGL_1(7) in PSL_2(7); PGL_2(7) and
+# S_2 wr S_4 (meet 2^3:S_4) in AGL_3(2); AGL_1(11) in M_11; PGL_2(11) in M_12.
+_PRIMITIVE = {5: "AGL1(5)", 6: "PGL2(5)", 7: "AGL1(7)", 8: "PGL2(7)",
+              9: "AGL2(3)", 10: "PGammaL2(9)", 11: "AGL1(11)", 12: "PGL2(11)"}
+_ALL_EVEN_PRIMITIVE = {7: "PSL2(7)", 8: "AGL3(2)", 9: "PGammaL2(8)", 11: "M11", 12: "M12"}
+_NOT_MAXIMAL_IN_ALT = {NamedGroup(7, "AGL1(7)"), NamedGroup(8, "PGL2(7)"), Imprimitive(8, 2, 4),
+                       NamedGroup(11, "AGL1(11)"), NamedGroup(12, "PGL2(11)")}
 
-    Built-in catalogs exist for S_3..S_12 and A_4..A_12 and are complete;
-    user-supplied catalogs carry their own completeness flag.
+
+def _maximal(n: int) -> list[SubgroupDescriptor]:
+    """The maximal classes of S_n other than A_n, in catalog order; the primitive one only up to degree 12.
+
+    S_k x S_{n-k} for each k < n/2, then S_b wr S_c as (b, n/b) and (n/b, b)
+    for each divisor 1 < b <= sqrt(n), then the primitive class, if any.
+    """
+    classes = [Intransitive(n, k) for k in range(1, (n + 1) // 2)]
+    for b in divisors(n):
+        if 1 < b * b <= n:
+            classes += dict.fromkeys([Imprimitive(n, b, n // b), Imprimitive(n, n // b, b)])
+    if n in _PRIMITIVE:
+        classes.append(NamedGroup(n, _PRIMITIVE[n]))
+    return classes
+
+
+def load_catalog(g: GroupId | None = None, path: str | os.PathLike | None = None) -> Catalog:
+    """The built-in catalog for g, or a user catalog read from path.
+
+    Built-in catalogs exist for S_3..S_12 and A_4..A_12, are complete, and
+    are computed, with no file read: S_n lists A_n, then _maximal(n). A_n
+    lists the meet with A_n of each class of _maximal(n) that stays maximal
+    there, then both classes of its all-even primitive group, if any. The
+    one exception: A_4 also lists the non-maximal C_2 = (S_2 x S_2) meet
+    A_4, which with A_3 gives the unique all-intransitive minimal covering.
+    User-supplied catalogs carry their own completeness flag.
     """
     if path is None:
         if g is None:
             raise ValueError("need a group or a path")
-        path = data_dir() / "catalogs" / f"{g.name}.json"
-        if not path.exists():
+        n = g.degree
+        if n > max(_PRIMITIVE):  # the tables end at degree 12
             raise CatalogError(f"no built-in catalog for {g} (supply a catalog file)")
+        if g.kind is GroupKind.SYM:
+            return Catalog(g, (FullAlternating(n), *_maximal(n)), True)
+        inner = [d for d in _maximal(n) if d not in _NOT_MAXIMAL_IN_ALT]
+        if n == 4:
+            inner.insert(1, Intransitive(4, 2))
+        named = [NamedGroup(n, _ALL_EVEN_PRIMITIVE[n], c) for c in (1, 2)] if n in _ALL_EVEN_PRIMITIVE else []
+        return Catalog(g, (*map(IntersectAlt, inner), *named), True)
     cat = catalog_from_json(_load_json(path, "catalog file"))
     if g is not None and cat.group != g:
         raise CatalogError(f"catalog file is for {cat.group}, not {g}")

@@ -24,6 +24,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, factorial, gcd
+from pathlib import Path
 
 import pytest
 
@@ -150,7 +151,7 @@ def test_criterion_1_a12_group_data_schreier_sims():
     def from_perms(gens):
         return PermutationGroup([Permutation(list(p.images)) for p in gens])
 
-    records = {r["name"]: r for r in json.loads((data_dir() / "generators.json").read_text())}
+    records = {r["name"]: r for r in json.loads(Path(data_dir(), "generators.json").read_text())}
     m12 = PermutationGroup(
         [
             Permutation([[p - 1 for p in cyc] for cyc in cycles], size=12)

@@ -279,18 +279,20 @@ def test_gamma_no_catalog(capsys, tmp_path):
 
 
 def test_undecodable_builtin_catalog(capsys, tmp_path, monkeypatch):
-    shutil.copytree(data_dir(), tmp_path / "data")
-    bad = tmp_path / "data" / "catalogs" / "S9.json"
+    bad = tmp_path / "bad.json"
     bad.write_text('{"group": "S9", ')
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "gamma", "9", "sym", "--catalog", str(bad), "--format", fmt)
+        assert code == 2 and out == "" and err.startswith(f"error: malformed catalog file {bad}: "), err
+    # built-in catalogs are computed, so a broken file in the data directory is never read
+    shutil.copytree(data_dir(), tmp_path / "data")
+    (tmp_path / "data" / "catalogs" / "S9.json").write_text('{"group": "S9", ')
     monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
-    for argv in (["gamma", "9", "sym"], ["catalog", "9", "sym"]):
-        for fmt in ("text", "json"):
-            code, out, err = run(capsys, *argv, "--format", fmt)
-            assert code == 2 and out == "" and err.startswith(f"error: malformed catalog file {bad}: "), err
-    assert run(capsys, "gamma", "9", "alt")[0] == 0
-    bad.unlink()
-    code, out, err = run(capsys, "gamma", "9", "sym")
-    assert (code, out, err) == (2, "", "error: no built-in catalog for S9 (supply a catalog file)\n")
+    assert run(capsys, "gamma", "9", "sym")[0] == 0
+    assert run(capsys, "catalog", "9", "sym")[0] == 0
+    for argv, g in ((["gamma", "13", "sym"], "S13"), (["catalog", "13", "alt"], "A13")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: no built-in catalog for {g} (supply a catalog file)\n")
 
 
 def test_gamma_user_catalog_incomplete(capsys, tmp_path):

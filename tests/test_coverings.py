@@ -3,6 +3,7 @@
 import json
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -228,7 +229,7 @@ def _component_pool(g):
     n = g.degree
     sym_level = [Intransitive(n, k) for k in range(1, n // 2 + 1)]
     sym_level += [Imprimitive(n, b, n // b) for b in range(2, n // 2 + 1) if n % b == 0]
-    records = json.loads((data_dir() / "generators.json").read_text())
+    records = json.loads(Path(data_dir(), "generators.json").read_text())
     named = [
         NamedGroup(n, r["name"], c)
         for r in records

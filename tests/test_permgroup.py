@@ -3,6 +3,7 @@
 import json
 import random
 from math import factorial, lcm
+from pathlib import Path
 
 import pytest
 from conftest import affine_gens, projective_gens
@@ -149,7 +150,7 @@ def _record_gens():
     AGL1(p) and PGL2(p) have no record; their generators are built here, for
     AGL1 at every prime 5 <= p <= 59 and for PGL2 at p = 5, 7, 11.
     """
-    for rec in json.loads((data_dir() / "generators.json").read_text()):
+    for rec in json.loads(Path(data_dir(), "generators.json").read_text()):
         n = rec["degree"]
         gens = [Perm.from_cycles(n, c) for c in rec["generators"]]
         yield rec["name"], n, gens

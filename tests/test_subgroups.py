@@ -1,11 +1,13 @@
 """Descriptor semantics against exhaustive enumeration, plus catalog loading."""
 
+import hashlib
 import json
 import re
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial
+from pathlib import Path
 
 import pytest
 from conftest import affine_gens, projective_gens
@@ -43,6 +45,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
+    _PACKAGE_DATA,
     _coverage_rule,
     _named,
     _subset_sum,
@@ -389,7 +392,7 @@ def test_named_alt_coverage_is_exhaustive():
 
 
 def test_all_generator_records_materialize():
-    records = json.loads((data_dir() / "generators.json").read_text())
+    records = json.loads(Path(data_dir(), "generators.json").read_text())
     assert {r["name"] for r in records} == set(named_group_names())
     for entry in records:
         grp = named_group(entry["degree"], entry["name"])
@@ -400,7 +403,7 @@ def test_generator_records_rechecked_by_schreier_sims():
     # sympy's Schreier-Sims, not normcov's closure: each record and its conjugate by (1 2)
     combinatorics = pytest.importorskip("sympy.combinatorics")
     Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
-    records = json.loads((data_dir() / "generators.json").read_text())
+    records = json.loads(Path(data_dir(), "generators.json").read_text())
     assert len(records) == 7
     for rec in records:
         n = rec["degree"]
@@ -415,7 +418,7 @@ def _check_closed_form(name, grp, order):
     """The served spectrum of name equals that of grp, closed here, whose order is checked."""
     assert grp.order == order, name
     d, types = NamedGroup(grp.degree, name), type_spectrum(grp)
-    spectrum, alt_classes = _named(d, str(data_dir()))
+    spectrum, alt_classes = _named(d, data_dir())
     assert spectrum == frozenset(t.parts for t in types), name
     assert alt_classes is None and not grp.all_even(), name
     if grp.degree <= 24:
@@ -581,7 +584,7 @@ def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
     want = alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
         ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
     }
-    records = {r["name"]: r for r in json.loads((data_dir() / "generators.json").read_text())}
+    records = {r["name"]: r for r in json.loads(Path(data_dir(), "generators.json").read_text())}
     closed = _spy_on_slice(tmp_path, monkeypatch)
     d = NamedGroup(9, "PGammaL2(8)", 2)
     assert class_coverage(d, GroupId.alt(9)) == want
@@ -594,7 +597,7 @@ def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
 
 def test_named_descriptor_closes_class_one_once(tmp_path, monkeypatch, capsys):
     # every question on M11, either class, bare or under alt:, reads one resolution of class 1
-    record = next(r for r in json.loads((data_dir() / "generators.json").read_text()) if r["name"] == "M11")
+    record = next(r for r in json.loads(Path(data_dir(), "generators.json").read_text()) if r["name"] == "M11")
     closed = _spy_on_slice(tmp_path, monkeypatch)
     answers, codes = [], []
     for cls in (1, 2):
@@ -772,11 +775,13 @@ def test_catalog_duplicate_rejected():
         Catalog(GroupId.sym(5), (Intransitive(5, 1), Intransitive(5, 1)), True)
 
 
-def test_data_dir_override(tmp_path, monkeypatch):
-    shutil.copytree(data_dir(), tmp_path / "data")
-    cat_file = tmp_path / "data" / "catalogs" / "S5.json"
-    obj = json.loads(cat_file.read_text())
-    obj["subgroups"] = obj["subgroups"][:2]
-    cat_file.write_text(json.dumps(obj))
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
-    assert len(load_catalog(GroupId.sym(5)).descriptors) == 2
+def test_builtin_catalog_files_equal_the_computed_catalogs():
+    # the benchmark's oracle reads these files, so each must be its computed catalog, serialized
+    groups = [GroupId.sym(n) for n in range(3, 13)] + [GroupId.alt(n) for n in range(4, 13)]
+    folder = Path(_PACKAGE_DATA, "catalogs")
+    assert sorted(f.name for f in folder.iterdir()) == sorted(f"{g.name}.json" for g in groups)
+    texts = [json.dumps(catalog_to_json(load_catalog(g)), indent=1) + "\n" for g in groups]
+    for g, text in zip(groups, texts):
+        assert (folder / f"{g.name}.json").read_text() == text, g
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "551d9203e0d9b6bbb21e7dc88554799c75553216fe8778e77168e99b016fb3ab"

@@ -165,10 +165,11 @@ def test_sort_orders():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site hooks out, so only the import itself can load them; the CLI parses its own
-    # arguments, and fractions (with decimal and numbers) loads on the first Fraction made
+    # arguments, fractions (with decimal and numbers) loads on the first Fraction made, and
+    # data paths are joined with os.path, so pathlib (with urllib.parse and ipaddress) stays out
     src = str(Path(normcov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    unloaded = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers"}
+    unloaded = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "numbers", "pathlib"}
     code = (
         f"import sys, normcov.cli; print(sorted({unloaded!r} & set(sys.modules)))\n"
         "from fractions import Fraction\n"
