@@ -9,8 +9,10 @@ component one predicate on (parts, split tag) for the classes of S_n or A_n
 and refuses the pairings that mean nothing; contains_type, the membership
 command and the partition walk all ask it. AGL1(p) on p points and PGL2(p)
 on p+1 points, p prime, take their spectrum from a closed form
-(_closed_form); every other named group is closed from its generator record
-in generators.json.
+(_closed_form). Every other named group is closed from its generator record:
+PGammaL2(8), PGammaL2(9), AGL2(3), AGL3(2) and PSL2(7) have one built from
+field arithmetic (_FIELD_GROUPS), and the rest, M11 and M12, have one in
+generators.json.
 
 A named descriptor reaches the walk through one cached resolver of raw
 tuples, _named, keyed on the descriptor and the data directory. It gives the
@@ -20,7 +22,8 @@ so no record is closed whole there, and class 2 is never resolved on its own.
 named_group closes the whole group afresh on every call. _named is the one
 cache: an lru_cache, which keeps its own state consistent under threads, so
 a race at worst resolves a group twice. Wreath queries and record lookups
-are not cached: each reads only its own parts, or generators.json afresh.
+are not cached: each reads only its own parts, builds its field group
+afresh, or reads generators.json afresh.
 
 The built-in catalogs of S_3..S_12 and A_4..A_12 are computed, not read:
 _maximal gives the maximal classes of S_n by the Liebeck-Praeger-Saxl rule,
@@ -36,14 +39,14 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Callable
-from functools import lru_cache
-from math import gcd
+from functools import lru_cache, reduce
+from math import gcd, prod
 from operator import mul
 
 from ._value import Ordered, Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _cycle_type, _is_even
 from .numtheory import divisors, is_prime
-from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate
+from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate, cycles_of
 from .permgroup import _raw_classes, _two_point_slice
 
 __all__ = [
@@ -251,7 +254,7 @@ _PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_dir() -> str:
-    """Directory holding generators.json; NCK_DATA_DIR overrides."""
+    """Directory holding generators.json, read for every name outside _FIELD_GROUPS; NCK_DATA_DIR overrides."""
     return os.environ.get("NCK_DATA_DIR") or _PACKAGE_DATA
 
 
@@ -296,13 +299,96 @@ def _generator_records(data: str) -> dict[str, dict]:
     return records
 
 
+def _digits(v: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of v, lowest first: the coordinates over F_p of the vector or field element v."""
+    return [v // p**i % p for i in range(k)]
+
+
+def _number(digits: list[int], p: int) -> int:
+    """The vector or field element whose coordinates are digits, each reduced mod p."""
+    return sum(d % p * p**i for i, d in enumerate(digits))
+
+
+def _affine(p: int, d: int) -> tuple[int, list[list[int]]]:
+    """|AGL_d(p)|, d >= 2, and images of its generators on the p^d vectors, point 1 + v the vector v.
+
+    The translation x_0 += 1, the transvection x_0 += x_1, the cycle of the
+    coordinates and, for odd p, x_0 -> w*x_0, w the least primitive root
+    mod p. The transvections x_i += x_(i+1), conjugates under the cycle,
+    generate SL_d(p) (their commutators give every x_i += x_j), and w*x_0
+    reaches every determinant.
+    """
+    maps = [lambda x: [x[0] + 1, *x[1:]], lambda x: [x[0] + x[1], *x[1:]], lambda x: [x[-1], *x[:-1]]]
+    if p > 2:
+        w = next(w for w in range(2, p) if len({pow(w, e, p) for e in range(p - 1)}) == p - 1)
+        maps.append(lambda x: [w * x[0], *x[1:]])
+    vectors = [_digits(v, p, d) for v in range(p**d)]
+    order = p**d * prod(p**d - p**i for i in range(d))
+    return order, [[_number(f(x), p) for x in vectors] for f in maps]
+
+
+def _psl2_7() -> tuple[int, list[list[int]]]:
+    """|GL_3(2)| = |PSL_2(7)|, and images of _affine's linear generators on the nonzero vectors of F_2^3."""
+    order, gens = _affine(2, 3)
+    return order // 8, [[v - 1 for v in g[1:]] for g in gens[1:]]
+
+
+def _pgammal2(p: int, k: int, poly: list[int]) -> tuple[int, list[list[int]]]:
+    """|PGammaL_2(q)|, q = p^k, and images of its generators on the projective line.
+
+    F_q is F_p[x] modulo x^k = poly[0] + poly[1] x + ...; an element is the
+    int whose base-p digits are its coefficients. Point 1 + z is z, and
+    point q + 1 is infinity. The generators are z -> z + 1, z -> nu*z with nu
+    the least element of order q - 1, z -> 1/z and the Frobenius z -> z^p.
+    """
+    q = p**k
+
+    def times(a: int, b: int) -> int:
+        """a*b by Horner's rule on the digits of b: r -> r*x + b_j*a, with x^k replaced by poly."""
+        r = [0] * k
+        for b_j in reversed(_digits(b, p, k)):
+            r = [low + r[-1] * c + b_j * a_i for low, c, a_i in zip([0, *r[:-1]], poly, _digits(a, p, k))]
+        return _number(r, p)
+
+    def power(z: int, e: int) -> int:
+        return reduce(times, [z] * e, 1)
+
+    nu = next(z for z in range(2, q) if all(power(z, e) != 1 for e in range(1, q - 1)))
+    maps = [lambda z: z - z % p + (z + 1) % p, lambda z: times(nu, z), lambda z: power(z, q - 2) if z else q,
+            lambda z: power(z, p)]
+    gens = [[f(z) for z in range(q)] + [q] for f in maps]
+    gens[2][q] = 0  # 1/infinity
+    return k * q * (q * q - 1), gens
+
+
+# name: (degree, classes, builder of (order, generator images)); the fields are
+# F_8 with x^3 = 1 + x over F_2, and F_9 with x^2 = -1 over F_3
+_FIELD_GROUPS = {
+    "PGammaL2(8)": (9, 2, lambda: _pgammal2(2, 3, [1, 1, 0])),
+    "PGammaL2(9)": (10, 1, lambda: _pgammal2(3, 2, [2, 0])),
+    "AGL2(3)": (9, 1, lambda: _affine(3, 2)),
+    "AGL3(2)": (8, 2, lambda: _affine(2, 3)),
+    "PSL2(7)": (7, 2, _psl2_7),
+}
+
+
 def named_group_names() -> list[str]:
-    return sorted(_generator_records(data_dir()))
+    return sorted(_FIELD_GROUPS.keys() | _generator_records(data_dir()).keys())
 
 
 def _record(data: str, degree: int, name: str, cls: int) -> dict:
-    """The generator record behind class cls of name; CatalogError if there is none."""
-    rec = _generator_records(data).get(name)
+    """The generator record behind class cls of name; CatalogError if there is none.
+
+    A name in _FIELD_GROUPS gets its record from field arithmetic, with no
+    file read, and a record of that name in generators.json is never seen.
+    """
+    if name in _FIELD_GROUPS:
+        size, classes, build = _FIELD_GROUPS[name]
+        order, gens = build()
+        cycles = [[[x + 1 for x in c] for c in cycles_of(Perm(g)) if len(c) > 1] for g in gens]
+        rec = {"name": name, "degree": size, "expected_order": order, "classes": classes, "generators": cycles}
+    else:
+        rec = _generator_records(data).get(name)
     if rec is None:
         raise CatalogError(f"no generator record named {name!r}")
     if rec["degree"] != degree:
@@ -315,6 +401,8 @@ def _record(data: str, degree: int, name: str, cls: int) -> dict:
 def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
     """Materialize a named group; closure must reproduce the recorded order.
 
+    The record is built by field arithmetic for the five names of
+    _FIELD_GROUPS and read from generators.json for the rest (M11, M12).
     cls=2 is the conjugate of the recorded generators by the transposition
     (1 2), giving the second conjugacy class where one exists. Intransitive
     generators are refused, and so are AGL1(p) and PGL2(p): they have no record.
@@ -393,10 +481,12 @@ def _named(
 
     data is data_dir(). The one place that tells a closed form from a
     record: AGL1(p) and PGL2(p) have a single class and hold odd permutations.
-    A record's class 1 is never closed whole: both answers come from its
-    two-point slice (_two_point_slice), built once from the point stabiliser
-    G_1, which is closed from Schreier generators and checked against the
-    recorded order; for M12 that closes 7,920 elements and keeps 2,880.
+    Every record comes from _record, built by field arithmetic or read from
+    generators.json. A record's class 1 is never closed whole: both answers
+    come from its two-point slice (_two_point_slice), built once from the
+    point stabiliser G_1, which is closed from Schreier generators and
+    checked against the recorded order; for M12 that closes 7,920 elements
+    and keeps 2,880.
     The group is all even iff its spectrum is, as the slice holds a conjugate
     of every element. Class 2, its conjugate by (1 2), has the types of
     class 1 and its A_n classes with each + and - swapped, so it is never sliced.

@@ -1,11 +1,10 @@
 """Basic-set verification, the named constructions, and the exact set cover."""
 
-import json
 from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
 
 import pytest
+from conftest import generator_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +43,6 @@ from normcov.subgroups import (
     NamedGroup,
     class_coverage,
     contains_type,
-    data_dir,
     descriptor_sort_key,
     load_catalog,
     named_group,
@@ -229,12 +227,11 @@ def _component_pool(g):
     n = g.degree
     sym_level = [Intransitive(n, k) for k in range(1, n // 2 + 1)]
     sym_level += [Imprimitive(n, b, n // b) for b in range(2, n // 2 + 1) if n % b == 0]
-    records = json.loads(Path(data_dir(), "generators.json").read_text())
     named = [
         NamedGroup(n, r["name"], c)
-        for r in records
+        for r in generator_records()
         if r["degree"] == n
-        for c in range(1, r.get("classes", 1) + 1)
+        for c in range(1, r["classes"] + 1)
     ]
     # the closed forms where they are proper: AGL1(3) and PGL2(3) are all of S_3 and S_4
     closed = [NamedGroup(n, f"AGL1({n})")] if n >= 5 and is_prime(n) else []

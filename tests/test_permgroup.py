@@ -1,12 +1,10 @@
 """Permutations, closure enumeration, spectra and split-class resolution."""
 
-import json
 import random
 from math import factorial, lcm
-from pathlib import Path
 
 import pytest
-from conftest import affine_gens, projective_gens
+from conftest import affine_gens, generator_records, projective_gens
 
 from normcov.cycle_types import (
     ClassId,
@@ -38,7 +36,7 @@ from normcov.permgroup import (
     type_spectrum,
     wreath_gens,
 )
-from normcov.subgroups import IntersectAlt, NamedGroup, _coverage_rule, data_dir, named_group
+from normcov.subgroups import IntersectAlt, NamedGroup, _coverage_rule, named_group
 
 SEED = 424242
 print(f"test_permgroup random seed = {SEED}")
@@ -145,16 +143,16 @@ def _bfs_elements(degree: int, gens) -> set[bytes]:
 
 
 def _record_gens():
-    """(name, degree, generators) for every class of every generator record.
+    """(name, degree, generators) for every class of every generator record, built or read.
 
     AGL1(p) and PGL2(p) have no record; their generators are built here, for
     AGL1 at every prime 5 <= p <= 59 and for PGL2 at p = 5, 7, 11.
     """
-    for rec in json.loads(Path(data_dir(), "generators.json").read_text()):
+    for rec in generator_records():
         n = rec["degree"]
         gens = [Perm.from_cycles(n, c) for c in rec["generators"]]
         yield rec["name"], n, gens
-        if rec.get("classes", 1) == 2:
+        if rec["classes"] == 2:
             yield rec["name"] + ":2", n, [conjugate(g, Perm.from_cycles(n, [[1, 2]])) for g in gens]
     for p in primes_up_to(59)[2:]:
         yield f"AGL1({p})", p, affine_gens(p)

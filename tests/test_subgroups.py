@@ -10,7 +10,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from conftest import affine_gens, projective_gens
+from conftest import affine_gens, generator_records, projective_gens
 
 from normcov.cycle_types import (
     MAX_PARTITION_DEGREE,
@@ -45,6 +45,7 @@ from normcov.subgroups import (
     IntersectAlt,
     Intransitive,
     NamedGroup,
+    _FIELD_GROUPS,
     _PACKAGE_DATA,
     _coverage_rule,
     _named,
@@ -392,20 +393,48 @@ def test_named_alt_coverage_is_exhaustive():
 
 
 def test_all_generator_records_materialize():
-    records = json.loads(Path(data_dir(), "generators.json").read_text())
+    # each class of each record, built or read, reaches its order twice: by the whole
+    # closure, and by the orbit-stabiliser order |1^G| * |G_1| of the two-point slice
+    records = generator_records()
+    assert [r["name"] for r in records] == [*_FIELD_GROUPS, "M11", "M12"] and len(_FIELD_GROUPS) == 5
     assert {r["name"] for r in records} == set(named_group_names())
-    for entry in records:
-        grp = named_group(entry["degree"], entry["name"])
-        assert grp.order == entry["expected_order"], entry["name"]
+    for rec in records:
+        n, order = rec["degree"], rec["expected_order"]
+        for cls in range(1, rec["classes"] + 1):
+            grp = named_group(n, rec["name"], cls)
+            assert grp.order == order, (rec["name"], cls)
+            assert set(_two_point_slice(n, grp.generators, order)) <= set(grp.element_images()), (rec["name"], cls)
+
+
+# sha256 of the sorted element images of each class of the five field groups, taken from
+# the generator records that generators.json held for them before they were built
+_FIELD_GROUP_DIGESTS = {
+    ("PGammaL2(8)", 1): "ba34a7a9650a3847b8e9be66d104a67a8dfc000f6b33bd59f1c051eec1b3fdb3",
+    ("PGammaL2(8)", 2): "0c6fb6f52a9204e963f5bee589abd62fa354bae4138afb3b35bd9a111e181e95",
+    ("PGammaL2(9)", 1): "d3c5aad602335f72e18e1e599b7f0628761051d898c25e5051d079940ce56f05",
+    ("AGL2(3)", 1): "aa00604f3e29085200c919481722ff2abeaea18bb2e59999f24331ddb5c52788",
+    ("AGL3(2)", 1): "e623bd8a0bc1b557a7aa7356f21f5e156225a57aad9b08c8ef321261e7f6a88f",
+    ("AGL3(2)", 2): "23015546c87bd559bddf4387e97933757427a8865cea44b6f2fa356ec33ababc",
+    ("PSL2(7)", 1): "906b5688cf1fdeb62decf538063c55ea435e9e9eb95e1b4aac40b4dd9421d3a3",
+    ("PSL2(7)", 2): "416b50b2c7a37ec41c1e9b0400a433b1691e819bf04e7143280a07a453e9303d",
+}
+
+
+def test_field_groups_are_the_recorded_groups():
+    # the same permutations, point for point, not just an isomorphic group
+    classes = {(name, cls) for name, (_, k, _) in _FIELD_GROUPS.items() for cls in range(1, k + 1)}
+    assert classes == set(_FIELD_GROUP_DIGESTS)
+    for (name, cls), want in _FIELD_GROUP_DIGESTS.items():
+        grp = named_group(_FIELD_GROUPS[name][0], name, cls)
+        assert hashlib.sha256(b"".join(sorted(grp.element_images()))).hexdigest() == want, (name, cls)
 
 
 def test_generator_records_rechecked_by_schreier_sims():
     # sympy's Schreier-Sims, not normcov's closure: each record and its conjugate by (1 2)
     combinatorics = pytest.importorskip("sympy.combinatorics")
     Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
-    records = json.loads(Path(data_dir(), "generators.json").read_text())
-    assert len(records) == 7
-    for rec in records:
+    assert [r["name"] for r in json.loads(Path(data_dir(), "generators.json").read_text())] == ["M11", "M12"]
+    for rec in generator_records():
         n = rec["degree"]
         gens = [Permutation([[p - 1 for p in cyc] for cyc in cycles], size=n) for cycles in rec["generators"]]
         swap = Permutation([[0, 1]], size=n)
@@ -454,6 +483,12 @@ def test_named_group_errors():
     for name in ("AGL1(9)", "AGL1(07)", "agl1(7)", "AGL1(7) ", "PGL2(+7)"):
         with pytest.raises(CatalogError, match="no generator record"):
             contains_type(NamedGroup(7, name), ct(7))
+    # only the five names of _FIELD_GROUPS are built from a field: no other q or d is parsed
+    for name, degree in (("PGammaL2(16)", 17), ("AGL2(5)", 25)):
+        with pytest.raises(CatalogError, match=re.escape(f"no generator record named {name!r}")):
+            named_group(degree, name)
+        with pytest.raises(CatalogError, match=re.escape(f"no generator record named {name!r}")):
+            contains_type(NamedGroup(degree, name), ct(degree))
     # p has at most 4 digits; a longer name is no closed form
     with pytest.raises(CatalogError, match=re.escape("AGL1(61) has degree 61, not 12")):
         contains_type(NamedGroup(12, "AGL1(61)"), ct(12))
@@ -504,9 +539,10 @@ def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
     "name, degree, order, word",
     [
         ("M12", 12, 190080, "M12: closure produced order 95040, expected 190080"),
-        # 169 is no multiple of the orbit length 7, so the stabiliser's cap 169 // 7 is its order 24
-        ("PSL2(7)", 7, 169, "PSL2(7): closure produced order 168, expected 169"),
-        ("PSL2(7)", 7, 167, "PSL2(7): closure exceeds the expected order 167"),
+        # L3(2) is a user record of PSL2(7)'s generators. 169 is no multiple of the orbit
+        # length 7, so the stabiliser's cap 169 // 7 is its order 24
+        ("L3(2)", 7, 169, "L3(2): closure produced order 168, expected 169"),
+        ("L3(2)", 7, 167, "L3(2): closure exceeds the expected order 167"),
     ],
 )
 def test_generator_record_with_a_wrong_order_refused(capsys, tmp_path, monkeypatch, name, degree, order, word):
@@ -514,6 +550,8 @@ def test_generator_record_with_a_wrong_order_refused(capsys, tmp_path, monkeypat
     shutil.copytree(data_dir(), tmp_path / "data")
     gen_file = tmp_path / "data" / "generators.json"
     records = json.loads(gen_file.read_text())
+    psl = next(rec for rec in generator_records() if rec["name"] == "PSL2(7)")
+    records.append({**psl, "name": "L3(2)"})
     next(rec for rec in records if rec["name"] == name)["expected_order"] = order
     gen_file.write_text(json.dumps(records))
     monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
@@ -565,6 +603,35 @@ def test_generator_data_that_is_no_list_of_records(tmp_path, monkeypatch):
             named_group_names()
 
 
+def test_field_groups_need_no_data_file(capsys, tmp_path, monkeypatch):
+    # the five field groups and the closed forms read no file; M11 and M12 need generators.json
+    descriptors = [NamedGroup(n, name, cls) for name, (n, k, _) in _FIELD_GROUPS.items() for cls in range(1, k + 1)]
+    descriptors += [NamedGroup(7, "AGL1(7)"), NamedGroup(12, "PGL2(11)")]
+    want = [class_coverage(d, GroupId.sym(d.degree)) for d in descriptors]
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path))
+    assert [class_coverage(d, GroupId.sym(d.degree)) for d in descriptors] == want
+    assert [named_group(9, "AGL2(3)").order, named_group(7, "PSL2(7)", 2).order] == [432, 168]
+    missing = f"generator data file not found: {tmp_path / 'generators.json'}"
+    with pytest.raises(CatalogError, match=re.escape(missing)):
+        named_group(11, "M11")
+    with pytest.raises(CatalogError, match=re.escape(missing)):
+        contains_type(NamedGroup(11, "M11"), ct(11))
+    assert main(["membership", "11", "named:M11", "[11]"]) == 2
+    assert capsys.readouterr() == ("", f"error: {missing}\n")
+
+
+def test_field_group_shadows_a_record_of_its_name(tmp_path, monkeypatch):
+    # a user record named PGammaL2(8), here S_9's generators, is never read: the field arithmetic answers
+    shutil.copytree(data_dir(), tmp_path / "data")
+    gen_file = tmp_path / "data" / "generators.json"
+    s9 = {"name": "PGammaL2(8)", "degree": 9, "expected_order": 362880, "generators": [[[1, 2]], [list(range(1, 10))]]}
+    gen_file.write_text(json.dumps(json.loads(gen_file.read_text()) + [s9]))
+    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    grp = named_group(9, "PGammaL2(8)")
+    assert grp.order == 1512 and not contains_type(NamedGroup(9, "PGammaL2(8)"), ct(2, *[1] * 7))
+    assert "PGammaL2(8)" in named_group_names()
+
+
 def _spy_on_slice(tmp_path, monkeypatch):
     """A fresh data directory, so fresh cache keys, and the list of generators a descriptor resolves from now on."""
     shutil.copytree(data_dir(), tmp_path / "data")
@@ -584,7 +651,7 @@ def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
     want = alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
         ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
     }
-    records = {r["name"]: r for r in json.loads(Path(data_dir(), "generators.json").read_text())}
+    records = {r["name"]: r for r in generator_records()}
     closed = _spy_on_slice(tmp_path, monkeypatch)
     d = NamedGroup(9, "PGammaL2(8)", 2)
     assert class_coverage(d, GroupId.alt(9)) == want
