@@ -9,29 +9,27 @@ component one predicate on (parts, split tag) for the classes of S_n or A_n
 and refuses the pairings that mean nothing; contains_type, the membership
 command and the partition walk all ask it. AGL1(p) on p points and PGL2(p)
 on p+1 points, p prime, take their spectrum from a closed form
-(_closed_form). Every other named group is closed from its generator record:
-PGammaL2(8), PGammaL2(9), AGL2(3), AGL3(2) and PSL2(7) have one built from
-field arithmetic (_FIELD_GROUPS), and the rest, M11 and M12, have one in
-generators.json.
+(_closed_form). Every other named group is closed from generators built by
+arithmetic over a finite field (_FIELD_GROUPS): PGammaL2(8), PGammaL2(9),
+AGL2(3), AGL3(2), PSL2(7), and M11 and M12 over F_11. No named group is read
+from a file.
 
 A named descriptor reaches the walk through one cached resolver of raw
-tuples, _named, keyed on the descriptor and the data directory. It gives the
-spectrum, and the A_n classes of an all-even group. Both are read off the
-two-point slice of a record's class 1, built once from its point stabiliser,
-so no record is closed whole there, and class 2 is never resolved on its own.
-named_group closes the whole group afresh on every call. _named is the one
-cache: an lru_cache, which keeps its own state consistent under threads, so
-a race at worst resolves a group twice. Wreath queries and record lookups
-are not cached: each reads only its own parts, builds its field group
-afresh, or reads generators.json afresh.
+tuples, _named, keyed on the descriptor. It gives the spectrum, and the A_n
+classes of an all-even group. Both are read off the two-point slice of a
+group's class 1, built once from its point stabiliser, so no group is
+closed whole there, and class 2 is never resolved on its own. named_group
+closes the whole group afresh on every call. _named is the one cache: an
+lru_cache, which keeps its own state consistent under threads, so a race at
+worst resolves a group twice. Wreath queries and generator lookups are not
+cached: each reads only its own parts, or builds its generators afresh.
 
 The built-in catalogs of S_3..S_12 and A_4..A_12 are computed, not read:
 _maximal gives the maximal classes of S_n by the Liebeck-Praeger-Saxl rule,
 and three small tables name the primitive groups and the meets with A_n that
-are not maximal. One loader, _load_json, reads every JSON file the package
-takes: basic sets, user catalogs and generators.json. A missing file or one
-that is no JSON is a CatalogError naming it. Generator records are checked
-field by field, through _json_field, when the file loads.
+are not maximal. One loader, _load_json, reads the two kinds of JSON file
+the package takes: basic sets and user catalogs. A missing file or one that
+is no JSON is a CatalogError naming it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from operator import mul
 from ._value import Ordered, Value
 from .cycle_types import ClassId, CycleType, GroupId, GroupKind, SplitTag, _classes, _cycle_type, _is_even
 from .numtheory import divisors, is_prime
-from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate, cycles_of
+from .permgroup import ClosureCapExceeded, GeneratedGroup, Perm, closure, conjugate
 from .permgroup import _raw_classes, _two_point_slice
 
 __all__ = [
@@ -118,7 +116,7 @@ class FullAlternating(Ordered):
 
 
 class NamedGroup(Ordered):
-    """A named group: a closed form or a generator record; cls selects one of its conjugacy classes."""
+    """A named group: a closed form or built generators; cls selects one of its conjugacy classes."""
 
     __slots__ = ("degree", "name", "cls")
 
@@ -248,16 +246,6 @@ def parse_descriptor(text: str, degree: int) -> SubgroupDescriptor:
 
 # --- named group registry -------------------------------------------------
 
-# What importlib.resources.files("normcov") / "data" gives for a package on disk,
-# without importing importlib.resources, which loads inspect on Python 3.12+.
-_PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def data_dir() -> str:
-    """Directory holding generators.json, read for every name outside _FIELD_GROUPS; NCK_DATA_DIR overrides."""
-    return os.environ.get("NCK_DATA_DIR") or _PACKAGE_DATA
-
-
 def _load_json(path: str | os.PathLike, what: str):
     """The JSON document in the file at path; CatalogError naming what if it is missing or no JSON."""
     import json  # loaded by file reads and JSON output only, so text commands start sooner
@@ -269,34 +257,6 @@ def _load_json(path: str | os.PathLike, what: str):
             return json.loads(f.read())
     except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed {what} {path}: {exc}") from exc
-
-
-# (key, JSON type, default) of each field of a generator record; a default of None means required
-_RECORD_FIELDS = (
-    ("name", str, None),
-    ("degree", int, None),
-    ("expected_order", int, None),
-    ("classes", int, 1),
-    ("generators", list, None),
-)
-
-
-def _generator_records(data: str) -> dict[str, dict]:
-    """The records of generators.json by name, read afresh and each field checked; CatalogError naming a bad record."""
-    path = os.path.join(data, "generators.json")
-    doc = _load_json(path, "generator data file")
-    if type(doc) is not list:
-        raise CatalogError(f"malformed generator data file {path}: not a list of records")
-    records = {}
-    for i, rec in enumerate(doc, 1):
-        try:
-            rec = {key: _json_field(rec, key, json_type, default) for key, json_type, default in _RECORD_FIELDS}
-        except KeyError as exc:
-            raise CatalogError(f"generator record {i} in {path} has no field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CatalogError(f"malformed generator record {i} in {path}: {exc}") from None
-        records[rec["name"]] = rec
-    return records
 
 
 def _digits(v: int, p: int, k: int) -> list[int]:
@@ -361,54 +321,59 @@ def _pgammal2(p: int, k: int, poly: list[int]) -> tuple[int, list[list[int]]]:
     return k * q * (q * q - 1), gens
 
 
+def _mathieu(n: int) -> tuple[int, list[list[int]]]:
+    """|M_n|, n = 11 or 12, and images of its generators; point 1 + z is z in F_11, and point 12 is infinity.
+
+    M_11 is generated by z -> z + 1 and by z -> z^2 on the squares, 0
+    included, and z -> 7z^2 on the rest; both fix infinity. M_12 adds
+    z -> -1/z, which swaps 0 and infinity.
+    """
+    squares = {z * z % 11 for z in range(11)}
+    gens = [[(z + 1) % 11 for z in range(11)], [z * z * (1 if z in squares else 7) % 11 for z in range(11)]]
+    if n == 11:
+        return 7920, gens
+    return 95040, [g + [11] for g in gens] + [[11] + [-pow(z, 9, 11) % 11 for z in range(1, 11)] + [0]]
+
+
 # name: (degree, classes, builder of (order, generator images)); the fields are
-# F_8 with x^3 = 1 + x over F_2, and F_9 with x^2 = -1 over F_3
+# F_8 with x^3 = 1 + x over F_2, F_9 with x^2 = -1 over F_3, and F_11
 _FIELD_GROUPS = {
     "PGammaL2(8)": (9, 2, lambda: _pgammal2(2, 3, [1, 1, 0])),
     "PGammaL2(9)": (10, 1, lambda: _pgammal2(3, 2, [2, 0])),
     "AGL2(3)": (9, 1, lambda: _affine(3, 2)),
     "AGL3(2)": (8, 2, lambda: _affine(2, 3)),
     "PSL2(7)": (7, 2, _psl2_7),
+    "M11": (11, 2, lambda: _mathieu(11)),
+    "M12": (12, 2, lambda: _mathieu(12)),
 }
 
 
 def named_group_names() -> list[str]:
-    return sorted(_FIELD_GROUPS.keys() | _generator_records(data_dir()).keys())
+    return sorted(_FIELD_GROUPS)
 
 
-def _record(data: str, degree: int, name: str, cls: int) -> dict:
-    """The generator record behind class cls of name; CatalogError if there is none.
-
-    A name in _FIELD_GROUPS gets its record from field arithmetic, with no
-    file read, and a record of that name in generators.json is never seen.
-    """
-    if name in _FIELD_GROUPS:
-        size, classes, build = _FIELD_GROUPS[name]
-        order, gens = build()
-        cycles = [[[x + 1 for x in c] for c in cycles_of(Perm(g)) if len(c) > 1] for g in gens]
-        rec = {"name": name, "degree": size, "expected_order": order, "classes": classes, "generators": cycles}
-    else:
-        rec = _generator_records(data).get(name)
-    if rec is None:
+def _record(degree: int, name: str, cls: int) -> tuple[int, list[list[int]]]:
+    """The order of name and its generator images, degree and class cls checked; CatalogError if not."""
+    if name not in _FIELD_GROUPS:
         raise CatalogError(f"no generator record named {name!r}")
-    if rec["degree"] != degree:
-        raise CatalogError(f"{name} has degree {rec['degree']}, not {degree}")
-    if cls not in (1, 2) or (cls == 2 and rec["classes"] < 2):
+    size, classes, build = _FIELD_GROUPS[name]
+    if size != degree:
+        raise CatalogError(f"{name} has degree {size}, not {degree}")
+    if cls not in (1, 2) or (cls == 2 and classes < 2):
         raise CatalogError(f"{name} does not have a class {cls}")
-    return rec
+    return build()
 
 
 def named_group(degree: int, name: str, cls: int = 1) -> GeneratedGroup:
-    """Materialize a named group; closure must reproduce the recorded order.
+    """Materialize a named group; closure must reproduce its order.
 
-    The record is built by field arithmetic for the five names of
-    _FIELD_GROUPS and read from generators.json for the rest (M11, M12).
-    cls=2 is the conjugate of the recorded generators by the transposition
-    (1 2), giving the second conjugacy class where one exists. Intransitive
-    generators are refused, and so are AGL1(p) and PGL2(p): they have no record.
+    The generators are built by field arithmetic for the seven names of
+    _FIELD_GROUPS. cls=2 is the conjugate of the generators by the
+    transposition (1 2), giving the second conjugacy class where one exists.
+    AGL1(p) and PGL2(p) are refused: they have no generators.
     Nothing is cached: each call closes the whole group afresh.
     """
-    return _from_record(data_dir(), degree, name, cls, _closed)
+    return _from_record(degree, name, cls, _closed)
 
 
 def _closed(degree: int, gens: list[Perm], order: int) -> GeneratedGroup:
@@ -419,28 +384,17 @@ def _closed(degree: int, gens: list[Perm], order: int) -> GeneratedGroup:
     return grp
 
 
-def _from_record(data: str, degree: int, name: str, cls: int, build: Callable):
-    """build(degree, gens, order) on the checked generators of class cls of name; CatalogError naming name.
+def _from_record(degree: int, name: str, cls: int, build: Callable):
+    """build(degree, gens, order) on the generators of class cls of name; CatalogError naming name.
 
     build is _closed or _two_point_slice: each raises ClosureCapExceeded past
-    the recorded order and ValueError if it finds another order.
+    the group's order and ValueError if it finds another order.
     """
-    rec = _record(data, degree, name, cls)
-    try:
-        gens = [Perm.from_cycles(degree, cycles) for cycles in rec["generators"]]
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{name}: malformed generators: {exc}") from None
-    orbit, todo = {0}, [0]
-    for p in todo:
-        for q in {g.images[p] for g in gens} - orbit:
-            orbit.add(q)
-            todo.append(q)
-    if len(orbit) < degree:
-        raise CatalogError(f"{name}: intransitive generators, point 1 has an orbit of {len(orbit)} < {degree}")
+    order, images = _record(degree, name, cls)
+    gens = [Perm(g) for g in images]
     if cls == 2:
         swap = Perm.from_cycles(degree, [[1, 2]])
         gens = [conjugate(g, swap) for g in gens]
-    order = rec["expected_order"]
     try:
         return build(degree, gens, order)
     except ClosureCapExceeded:
@@ -459,8 +413,8 @@ def _closed_form(name: str, degree: int) -> frozenset[tuple[int, ...]] | None:
     of them in one length d > 1, d | p+1.
 
     p has at most 4 digits: each type is a tuple of up to p+1 parts, so the
-    spectrum stays under a megabyte. A longer name goes to the record lookup,
-    which refuses it at once, without a primality test.
+    spectrum stays under a megabyte. A longer name goes to the _FIELD_GROUPS
+    lookup, which refuses it at once, without a primality test.
     """
     m = re.fullmatch(r"(AGL1|PGL2)\(([1-9][0-9]{0,3})\)", name)
     if m is None or not is_prime(p := int(m[2])):
@@ -474,19 +428,16 @@ def _closed_form(name: str, degree: int) -> frozenset[tuple[int, ...]] | None:
 
 
 @lru_cache(maxsize=64)
-def _named(
-    d: NamedGroup, data: str
-) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[tuple[int, ...], SplitTag]] | None]:
+def _named(d: NamedGroup) -> tuple[frozenset[tuple[int, ...]], frozenset[tuple[tuple[int, ...], SplitTag]] | None]:
     """d's raw spectrum, and its raw (parts, split tag) A_n classes if d is all even, else None.
 
-    data is data_dir(). The one place that tells a closed form from a
-    record: AGL1(p) and PGL2(p) have a single class and hold odd permutations.
-    Every record comes from _record, built by field arithmetic or read from
-    generators.json. A record's class 1 is never closed whole: both answers
-    come from its two-point slice (_two_point_slice), built once from the
-    point stabiliser G_1, which is closed from Schreier generators and
-    checked against the recorded order; for M12 that closes 7,920 elements
-    and keeps 2,880.
+    The one place that tells a closed form from a group with generators:
+    AGL1(p) and PGL2(p) have a single class and hold odd permutations. Every
+    other group's generators come from _record, built by field arithmetic.
+    Class 1 is never closed whole: both answers come from its two-point
+    slice (_two_point_slice), built once from the point stabiliser G_1,
+    which is closed from Schreier generators and checked against the
+    group's order; for M12 that closes 7,920 elements and keeps 2,880.
     The group is all even iff its spectrum is, as the slice holds a conjugate
     of every element. Class 2, its conjugate by (1 2), has the types of
     class 1 and its A_n classes with each + and - swapped, so it is never sliced.
@@ -497,13 +448,13 @@ def _named(
             raise CatalogError(f"{d.name} does not have a class {d.cls}")
         return types, None
     if d.cls != 1:
-        _record(data, d.degree, d.name, d.cls)
-        types, classes = _named(NamedGroup(d.degree, d.name), data)
+        _record(d.degree, d.name, d.cls)
+        types, classes = _named(NamedGroup(d.degree, d.name))
         if classes is not None:
             swap = {SplitTag.PLUS: SplitTag.MINUS, SplitTag.MINUS: SplitTag.PLUS}
             classes = frozenset((parts, swap.get(tag, tag)) for parts, tag in classes)
         return types, classes
-    return _raw_classes(_from_record(data, d.degree, d.name, 1, _two_point_slice))
+    return _raw_classes(_from_record(d.degree, d.name, 1, _two_point_slice))
 
 
 # --- membership semantics ---------------------------------------------------
@@ -605,7 +556,7 @@ def _coverage_rule(d: SubgroupDescriptor, n: int, alt: bool) -> Callable[[tuple[
     elif isinstance(inner, FullAlternating):
         rule = lambda parts, tag: _is_even(parts)
     else:
-        types, classes = _named(inner, data_dir())
+        types, classes = _named(inner)
         if alt and inner is d:
             if classes is None:
                 raise ValueError("group contains odd permutations; intersect with A_n first")

@@ -1,14 +1,19 @@
-"""Generators and records shared by the tests.
+"""Generators, records and fixture paths shared by the tests.
 
-AGL1(p) and PGL2(p) are served by a closed form and have no generator
-record, so tests that close every record also close these, built here.
-Five named groups get their record from field arithmetic (_FIELD_GROUPS)
-and only M11 and M12 have one in generators.json; generator_records lists
-all seven.
+AGL1(p) and PGL2(p) are served by a closed form and have no generators in
+the library, so tests that close every named group also close these, built
+here. The seven other named groups are built from field arithmetic
+(_FIELD_GROUPS), and generator_records lists them. DATA is the source
+tree's data directory: the benchmark's fixtures, which the library does not
+read.
 """
 
+from pathlib import Path
+
 from normcov.permgroup import Perm
-from normcov.subgroups import _FIELD_GROUPS, _generator_records, _record, data_dir
+from normcov.subgroups import _FIELD_GROUPS, _record
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "normcov" / "data"
 
 
 def affine_gens(p):
@@ -24,6 +29,10 @@ def projective_gens(p):
 
 
 def generator_records():
-    """The record of every named group with generators: the field groups, as _record builds them, then generators.json's."""
-    built = [_record(data_dir(), size, name, 1) for name, (size, _, _) in _FIELD_GROUPS.items()]
-    return built + list(_generator_records(data_dir()).values())
+    """Every named group with generators, as _record builds it: name, degree, order, classes and class-1 Perms."""
+    records = []
+    for name, (size, classes, _) in _FIELD_GROUPS.items():
+        order, images = _record(size, name, 1)
+        gens = [Perm(g) for g in images]
+        records.append({"name": name, "degree": size, "expected_order": order, "classes": classes, "generators": gens})
+    return records

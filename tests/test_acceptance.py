@@ -18,13 +18,11 @@ Every corrected value was also rechecked without normcov: by sympy
 enumeration of M12 and S_3 wr S_4, and by plain arithmetic.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, factorial, gcd
-from pathlib import Path
 
 import pytest
 
@@ -66,9 +64,9 @@ from normcov.subgroups import (
     Imprimitive,
     Intransitive,
     NamedGroup,
+    _record,
     class_coverage,
     contains_type,
-    data_dir,
     load_catalog,
     named_group,
 )
@@ -151,13 +149,7 @@ def test_criterion_1_a12_group_data_schreier_sims():
     def from_perms(gens):
         return PermutationGroup([Permutation(list(p.images)) for p in gens])
 
-    records = {r["name"]: r for r in json.loads(Path(data_dir(), "generators.json").read_text())}
-    m12 = PermutationGroup(
-        [
-            Permutation([[p - 1 for p in cyc] for cyc in cycles], size=12)
-            for cycles in records["M12"]["generators"]
-        ]
-    )
+    m12 = PermutationGroup([Permutation(images) for images in _record(12, "M12", 1)[1]])
     orders = {
         "M12": m12.order(),
         "S5 x S7": from_perms(direct_product_gens(12, 5)).order(),

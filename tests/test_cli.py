@@ -3,7 +3,6 @@
 import json
 import os
 import resource
-import shutil
 import subprocess
 import sys
 
@@ -12,7 +11,7 @@ import pytest
 from normcov.cli import main
 from normcov.coverings import construct_delta, verify_basic_set
 from normcov.cycle_types import GroupId, Parity, parity, partitions
-from normcov.subgroups import IntersectAlt, class_coverage, data_dir, load_catalog
+from normcov.subgroups import IntersectAlt, class_coverage, load_catalog
 
 
 def run(capsys, *argv):
@@ -278,16 +277,12 @@ def test_gamma_no_catalog(capsys, tmp_path):
             assert code == 2 and out == "" and word in err, (bad, err)
 
 
-def test_undecodable_builtin_catalog(capsys, tmp_path, monkeypatch):
+def test_undecodable_builtin_catalog(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"group": "S9", ')
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "gamma", "9", "sym", "--catalog", str(bad), "--format", fmt)
         assert code == 2 and out == "" and err.startswith(f"error: malformed catalog file {bad}: "), err
-    # built-in catalogs are computed, so a broken file in the data directory is never read
-    shutil.copytree(data_dir(), tmp_path / "data")
-    (tmp_path / "data" / "catalogs" / "S9.json").write_text('{"group": "S9", ')
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
     assert run(capsys, "gamma", "9", "sym")[0] == 0
     assert run(capsys, "catalog", "9", "sym")[0] == 0
     for argv, g in ((["gamma", "13", "sym"], "S13"), (["catalog", "13", "alt"], "A13")):
@@ -419,6 +414,18 @@ def test_membership_at_a_huge_degree():
         )
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert proc.stdout.startswith(f"{t} in {d}: yes"), proc.stdout
+    # S_3 wr S_c, c the least prime above 10^20, meets no closed rule, so the type goes to the
+    # search, which takes the divisors of v = p*q (the least primes above 10^9 and 3*10^10) by rho
+    c, v = 100000000000000000039, 1000000007 * 30000000001
+    d = f"imprimitive:3,{c}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "normcov.cli", "membership", str(3 * c), d, f"[{v},{3 * c - v - 1},1]"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith(f"[{3 * c - v - 1},{v},1] in {d}: no"), proc.stdout
     # a mask as wide as a 20-digit target is refused before it is built
     k = "50000000000000000019"
     proc = subprocess.run(

@@ -143,14 +143,13 @@ def _bfs_elements(degree: int, gens) -> set[bytes]:
 
 
 def _record_gens():
-    """(name, degree, generators) for every class of every generator record, built or read.
+    """(name, degree, generators) for every class of every named group with built generators.
 
-    AGL1(p) and PGL2(p) have no record; their generators are built here, for
+    AGL1(p) and PGL2(p) have no generators in the library; theirs are built here, for
     AGL1 at every prime 5 <= p <= 59 and for PGL2 at p = 5, 7, 11.
     """
     for rec in generator_records():
-        n = rec["degree"]
-        gens = [Perm.from_cycles(n, c) for c in rec["generators"]]
+        n, gens = rec["degree"], rec["generators"]
         yield rec["name"], n, gens
         if rec["classes"] == 2:
             yield rec["name"] + ":2", n, [conjugate(g, Perm.from_cycles(n, [[1, 2]])) for g in gens]

@@ -2,15 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial
-from pathlib import Path
 
 import pytest
-from conftest import affine_gens, generator_records, projective_gens
+from conftest import DATA, affine_gens, generator_records, projective_gens
 
 from normcov.cycle_types import (
     MAX_PARTITION_DEGREE,
@@ -31,6 +32,7 @@ from normcov.permgroup import (
     alt_class_coverage,
     closure,
     cycle_type_of,
+    cycles_of,
     direct_product_gens,
     perm_parity,
     split_class_of,
@@ -46,15 +48,14 @@ from normcov.subgroups import (
     Intransitive,
     NamedGroup,
     _FIELD_GROUPS,
-    _PACKAGE_DATA,
     _coverage_rule,
     _named,
+    _record,
     _subset_sum,
     _wreath_search,
     catalog_to_json,
     class_coverage,
     contains_type,
-    data_dir,
     descriptor_from_json,
     descriptor_to_json,
     load_catalog,
@@ -393,10 +394,10 @@ def test_named_alt_coverage_is_exhaustive():
 
 
 def test_all_generator_records_materialize():
-    # each class of each record, built or read, reaches its order twice: by the whole
-    # closure, and by the orbit-stabiliser order |1^G| * |G_1| of the two-point slice
+    # each class of each built group reaches its order twice: by the whole closure, and by
+    # the orbit-stabiliser order |1^G| * |G_1| of the two-point slice; and each is transitive
     records = generator_records()
-    assert [r["name"] for r in records] == [*_FIELD_GROUPS, "M11", "M12"] and len(_FIELD_GROUPS) == 5
+    assert [r["name"] for r in records] == [*_FIELD_GROUPS] and len(_FIELD_GROUPS) == 7
     assert {r["name"] for r in records} == set(named_group_names())
     for rec in records:
         n, order = rec["degree"], rec["expected_order"]
@@ -404,9 +405,10 @@ def test_all_generator_records_materialize():
             grp = named_group(n, rec["name"], cls)
             assert grp.order == order, (rec["name"], cls)
             assert set(_two_point_slice(n, grp.generators, order)) <= set(grp.element_images()), (rec["name"], cls)
+            assert {x[0] for x in grp.element_images()} == set(range(n)), (rec["name"], cls)
 
 
-# sha256 of the sorted element images of each class of the five field groups, taken from
+# sha256 of the sorted element images of each class of the seven built groups, taken from
 # the generator records that generators.json held for them before they were built
 _FIELD_GROUP_DIGESTS = {
     ("PGammaL2(8)", 1): "ba34a7a9650a3847b8e9be66d104a67a8dfc000f6b33bd59f1c051eec1b3fdb3",
@@ -417,6 +419,10 @@ _FIELD_GROUP_DIGESTS = {
     ("AGL3(2)", 2): "23015546c87bd559bddf4387e97933757427a8865cea44b6f2fa356ec33ababc",
     ("PSL2(7)", 1): "906b5688cf1fdeb62decf538063c55ea435e9e9eb95e1b4aac40b4dd9421d3a3",
     ("PSL2(7)", 2): "416b50b2c7a37ec41c1e9b0400a433b1691e819bf04e7143280a07a453e9303d",
+    ("M11", 1): "f9c0d43b2d4b268c4078cb300465df54d363bc3c591f1581111aa77c278e86e4",
+    ("M11", 2): "864054c336c4a0be8e34284b6b257e08291c0a66c1fcb03c843b9b0accb21d7b",
+    ("M12", 1): "80b3c1500366894135c976a6c0c779778334b5be27de7e17ed4f29fcf53ea8d5",
+    ("M12", 2): "05539c531018cacd582153e6dacb55f0d6af671be23dbf6545e5532d1c7dfc74",
 }
 
 
@@ -429,14 +435,25 @@ def test_field_groups_are_the_recorded_groups():
         assert hashlib.sha256(b"".join(sorted(grp.element_images()))).hexdigest() == want, (name, cls)
 
 
+def test_generators_file_is_the_built_groups():
+    # bench/regen_expected.py reads M11 and M12 from this file, so it must hold the groups built here
+    records = json.loads((DATA / "generators.json").read_text())
+    assert [r["name"] for r in records] == ["M11", "M12"]
+    for rec in records:
+        name = rec["name"]
+        size, classes, _ = _FIELD_GROUPS[name]
+        order, images = _record(size, name, 1)
+        cycles = [[[x + 1 for x in c] for c in cycles_of(Perm(g)) if len(c) > 1] for g in images]
+        assert rec == {"name": name, "degree": size, "expected_order": order, "classes": classes, "generators": cycles}
+
+
 def test_generator_records_rechecked_by_schreier_sims():
-    # sympy's Schreier-Sims, not normcov's closure: each record and its conjugate by (1 2)
+    # sympy's Schreier-Sims, not normcov's closure: each built group and its conjugate by (1 2)
     combinatorics = pytest.importorskip("sympy.combinatorics")
     Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
-    assert [r["name"] for r in json.loads(Path(data_dir(), "generators.json").read_text())] == ["M11", "M12"]
     for rec in generator_records():
         n = rec["degree"]
-        gens = [Permutation([[p - 1 for p in cyc] for cyc in cycles], size=n) for cycles in rec["generators"]]
+        gens = [Permutation(list(g.images)) for g in rec["generators"]]
         swap = Permutation([[0, 1]], size=n)
         for grp in (PermutationGroup(gens), PermutationGroup([swap * g * swap for g in gens])):
             assert grp.order() == rec["expected_order"], rec["name"]
@@ -447,7 +464,7 @@ def _check_closed_form(name, grp, order):
     """The served spectrum of name equals that of grp, closed here, whose order is checked."""
     assert grp.order == order, name
     d, types = NamedGroup(grp.degree, name), type_spectrum(grp)
-    spectrum, alt_classes = _named(d, data_dir())
+    spectrum, alt_classes = _named(d)
     assert spectrum == frozenset(t.parts for t in types), name
     assert alt_classes is None and not grp.all_even(), name
     if grp.degree <= 24:
@@ -483,7 +500,7 @@ def test_named_group_errors():
     for name in ("AGL1(9)", "AGL1(07)", "agl1(7)", "AGL1(7) ", "PGL2(+7)"):
         with pytest.raises(CatalogError, match="no generator record"):
             contains_type(NamedGroup(7, name), ct(7))
-    # only the five names of _FIELD_GROUPS are built from a field: no other q or d is parsed
+    # only the seven names of _FIELD_GROUPS are built from a field: no other q or d is parsed
     for name, degree in (("PGammaL2(16)", 17), ("AGL2(5)", 25)):
         with pytest.raises(CatalogError, match=re.escape(f"no generator record named {name!r}")):
             named_group(degree, name)
@@ -500,34 +517,12 @@ def test_named_group_errors():
     assert contains_type(NamedGroup(62, "PGL2(61)"), ct(61, 1))
 
 
-def test_intransitive_generator_record_refused(tmp_path, monkeypatch):
-    shutil.copytree(data_dir(), tmp_path / "data")
-    gen_file = tmp_path / "data" / "generators.json"
-    records = json.loads(gen_file.read_text())
-    # <(1 2 3), (4 5 6)> has the recorded order 9, so only the orbit check refuses it
-    bad = {"name": "C3xC3", "degree": 6, "expected_order": 9, "classes": 2, "generators": [[[1, 2, 3]], [[4, 5, 6]]]}
-    gen_file.write_text(json.dumps(records + [bad]))
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
-    for cls in (1, 2):
-        with pytest.raises(CatalogError, match="C3xC3: intransitive generators, point 1 has an orbit of 3 <"):
-            named_group(6, "C3xC3", cls)
-    with pytest.raises(CatalogError, match="intransitive"):
-        contains_type(NamedGroup(6, "C3xC3", 2), ct(3, 3))
-    assert named_group(7, "PSL2(7)").order == 168
-
-
-def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
-    shutil.copytree(data_dir(), tmp_path / "data")
-    gen_file = tmp_path / "data" / "generators.json"
-    records = json.loads(gen_file.read_text())
-    # S_8's and S_10's generators under the order 1440: the closure stops at the recorded order,
+def test_generator_record_closing_past_its_order_refused(monkeypatch):
+    # S_8's and S_10's generators under the order 1440: the closure stops at the given order,
     # below the default cap that S_10 would pass and S_8 would not
-    bad = [
-        {"name": f"S{n}", "degree": n, "expected_order": 1440, "generators": [[[1, 2]], [list(range(1, n + 1))]]}
-        for n in (8, 10)
-    ]
-    gen_file.write_text(json.dumps(records + bad))
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    for n in (8, 10):
+        gens = [[1, 0, *range(2, n)], [*range(1, n), 0]]
+        monkeypatch.setitem(_FIELD_GROUPS, f"S{n}", (n, 1, lambda gens=gens: (1440, gens)))
     for n in (8, 10):
         with pytest.raises(CatalogError, match=f"S{n}: closure exceeds the expected order 1440"):
             named_group(n, f"S{n}")
@@ -539,22 +534,17 @@ def test_generator_record_closing_past_its_order_refused(tmp_path, monkeypatch):
     "name, degree, order, word",
     [
         ("M12", 12, 190080, "M12: closure produced order 95040, expected 190080"),
-        # L3(2) is a user record of PSL2(7)'s generators. 169 is no multiple of the orbit
+        # L3(2) is an entry of PSL2(7)'s generators. 169 is no multiple of the orbit
         # length 7, so the stabiliser's cap 169 // 7 is its order 24
         ("L3(2)", 7, 169, "L3(2): closure produced order 168, expected 169"),
         ("L3(2)", 7, 167, "L3(2): closure exceeds the expected order 167"),
     ],
 )
-def test_generator_record_with_a_wrong_order_refused(capsys, tmp_path, monkeypatch, name, degree, order, word):
+def test_generator_record_with_a_wrong_order_refused(capsys, monkeypatch, name, degree, order, word):
     # the descriptor reads the point stabiliser and named_group closes the whole group: both refuse alike
-    shutil.copytree(data_dir(), tmp_path / "data")
-    gen_file = tmp_path / "data" / "generators.json"
-    records = json.loads(gen_file.read_text())
-    psl = next(rec for rec in generator_records() if rec["name"] == "PSL2(7)")
-    records.append({**psl, "name": "L3(2)"})
-    next(rec for rec in records if rec["name"] == name)["expected_order"] = order
-    gen_file.write_text(json.dumps(records))
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    size, classes, build = _FIELD_GROUPS["PSL2(7)" if name == "L3(2)" else name]
+    monkeypatch.setitem(_FIELD_GROUPS, name, (size, classes, lambda: (order, build()[1])))
+    _named.cache_clear()  # M12 may be resolved already, under its true order
     with pytest.raises(CatalogError, match=re.escape(word)):
         named_group(degree, name)
     for cls in (1, 2):
@@ -565,77 +555,35 @@ def test_generator_record_with_a_wrong_order_refused(capsys, tmp_path, monkeypat
         assert code == 2 and captured.out == "" and word in captured.err, captured.err
 
 
-@pytest.mark.parametrize(
-    "name, edit, argv, word",
-    [
-        ("M11", lambda rec: rec.pop("generators"), ["11", "named:M11", "[11]"], "no field 'generators'"),
-        ("M11", lambda rec: rec.update(classes="2"), ["11", "named:M11:2", "[11]"], "'classes' must be an integer"),
-        ("M12", lambda rec: rec.update(expected_order="95040"), ["12", "named:M12", "[11,1]"], "'expected_order'"),
-        ("M11", lambda rec: rec["generators"][0][0].__setitem__(0, "1"), ["11", "named:M11", "[11]"], "M11: malformed"),
-        ("M11", lambda rec: rec.update(name=11), ["11", "named:M11", "[11]"], "'name' must be a string"),
-        ("M11", lambda rec: rec.update(degree=[11]), ["11", "named:M11", "[11]"], "'degree' must be an integer"),
-        ("M11", lambda rec: rec.update(generators={}), ["11", "named:M11", "[11]"], "'generators' must be a list"),
-    ],
-)
-def test_malformed_generator_record_is_an_error(capsys, tmp_path, monkeypatch, name, edit, argv, word):
-    # exit 1 means a basic set fails to cover, so bad data must exit 2, not end in a traceback
-    shutil.copytree(data_dir(), tmp_path / "data")
-    gen_file = tmp_path / "data" / "generators.json"
-    records = json.loads(gen_file.read_text())
-    edit(next(rec for rec in records if rec["name"] == name))
-    gen_file.write_text(json.dumps(records))
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
-    for fmt in ("text", "json"):
-        code = main(["membership", *argv, "--format", fmt])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and word in captured.err, captured.err
-    with pytest.raises(CatalogError, match=re.escape(word)):
-        contains_type(NamedGroup(int(argv[0]), name), ct(int(argv[0])))
+def test_field_groups_need_no_data_file(tmp_path):
+    # the library opens no data file: a copy of the package without data/ answers alike
+    shutil.copytree(DATA.parent, tmp_path / "normcov", ignore=shutil.ignore_patterns("data", "__pycache__"))
+    code = """
+from normcov.cycle_types import GroupId
+from normcov.subgroups import _FIELD_GROUPS, NamedGroup, class_coverage, named_group
+ds = [NamedGroup(n, name, cls) for name, (n, k, _) in _FIELD_GROUPS.items() for cls in range(1, k + 1)]
+for d in ds + [NamedGroup(7, "AGL1(7)"), NamedGroup(12, "PGL2(11)")]:
+    for g in (GroupId.sym(d.degree), GroupId.alt(d.degree)):
+        try:
+            print(d, g, sorted(map(str, class_coverage(d, g))))
+        except ValueError as exc:
+            print(d, g, exc)
+print(named_group(12, "M12", 2).order)
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    outs = []
+    for tree in (DATA.parent.parent, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**env, "PYTHONPATH": str(tree)}, cwd=tree
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].endswith("\n95040\n") and not (tmp_path / "normcov" / "data").exists()
 
 
-def test_generator_data_that_is_no_list_of_records(tmp_path, monkeypatch):
-    shutil.copytree(data_dir(), tmp_path / "data")
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
-    gen_file = tmp_path / "data" / "generators.json"
-    for text, word in (("{}", "not a list of records"), ('["M11"]', "malformed generator record 1"), ("[", "malformed generator data file")):
-        gen_file.write_text(text)
-        with pytest.raises(CatalogError, match=word):
-            named_group_names()
-
-
-def test_field_groups_need_no_data_file(capsys, tmp_path, monkeypatch):
-    # the five field groups and the closed forms read no file; M11 and M12 need generators.json
-    descriptors = [NamedGroup(n, name, cls) for name, (n, k, _) in _FIELD_GROUPS.items() for cls in range(1, k + 1)]
-    descriptors += [NamedGroup(7, "AGL1(7)"), NamedGroup(12, "PGL2(11)")]
-    want = [class_coverage(d, GroupId.sym(d.degree)) for d in descriptors]
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path))
-    assert [class_coverage(d, GroupId.sym(d.degree)) for d in descriptors] == want
-    assert [named_group(9, "AGL2(3)").order, named_group(7, "PSL2(7)", 2).order] == [432, 168]
-    missing = f"generator data file not found: {tmp_path / 'generators.json'}"
-    with pytest.raises(CatalogError, match=re.escape(missing)):
-        named_group(11, "M11")
-    with pytest.raises(CatalogError, match=re.escape(missing)):
-        contains_type(NamedGroup(11, "M11"), ct(11))
-    assert main(["membership", "11", "named:M11", "[11]"]) == 2
-    assert capsys.readouterr() == ("", f"error: {missing}\n")
-
-
-def test_field_group_shadows_a_record_of_its_name(tmp_path, monkeypatch):
-    # a user record named PGammaL2(8), here S_9's generators, is never read: the field arithmetic answers
-    shutil.copytree(data_dir(), tmp_path / "data")
-    gen_file = tmp_path / "data" / "generators.json"
-    s9 = {"name": "PGammaL2(8)", "degree": 9, "expected_order": 362880, "generators": [[[1, 2]], [list(range(1, 10))]]}
-    gen_file.write_text(json.dumps(json.loads(gen_file.read_text()) + [s9]))
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
-    grp = named_group(9, "PGammaL2(8)")
-    assert grp.order == 1512 and not contains_type(NamedGroup(9, "PGammaL2(8)"), ct(2, *[1] * 7))
-    assert "PGammaL2(8)" in named_group_names()
-
-
-def _spy_on_slice(tmp_path, monkeypatch):
-    """A fresh data directory, so fresh cache keys, and the list of generators a descriptor resolves from now on."""
-    shutil.copytree(data_dir(), tmp_path / "data")
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+def _spy_on_slice(monkeypatch):
+    """An empty resolver cache, and the list of generators a descriptor resolves from now on."""
+    _named.cache_clear()
     closed = []
 
     def spy(degree, gens, *args):
@@ -646,26 +594,25 @@ def _spy_on_slice(tmp_path, monkeypatch):
     return closed
 
 
-def test_second_class_answers_without_its_closure(tmp_path, monkeypatch):
+def test_second_class_answers_without_its_closure(monkeypatch):
     # only class-1 generators may be resolved; named_group closes the whole group, never through the slice
     want = alt_class_coverage(named_group(9, "PGammaL2(8)", 1)) ^ {
         ClassId(ct(9), tag) for tag in (SplitTag.PLUS, SplitTag.MINUS)
     }
     records = {r["name"]: r for r in generator_records()}
-    closed = _spy_on_slice(tmp_path, monkeypatch)
+    closed = _spy_on_slice(monkeypatch)
     d = NamedGroup(9, "PGammaL2(8)", 2)
     assert class_coverage(d, GroupId.alt(9)) == want
     assert contains_type(d, ct(9)) and contains_type(NamedGroup(8, "AGL3(2)", 2), ct(7, 1))
     assert closed == [
-        (n, [Perm.from_cycles(n, cycles).images for cycles in records[name]["generators"]])
-        for name, n in (("PGammaL2(8)", 9), ("AGL3(2)", 8))
+        (n, [g.images for g in records[name]["generators"]]) for name, n in (("PGammaL2(8)", 9), ("AGL3(2)", 8))
     ]
 
 
-def test_named_descriptor_closes_class_one_once(tmp_path, monkeypatch, capsys):
+def test_named_descriptor_closes_class_one_once(monkeypatch, capsys):
     # every question on M11, either class, bare or under alt:, reads one resolution of class 1
-    record = next(r for r in json.loads(Path(data_dir(), "generators.json").read_text()) if r["name"] == "M11")
-    closed = _spy_on_slice(tmp_path, monkeypatch)
+    record = next(r for r in generator_records() if r["name"] == "M11")
+    closed = _spy_on_slice(monkeypatch)
     answers, codes = [], []
     for cls in (1, 2):
         for d in (NamedGroup(11, "M11", cls), IntersectAlt(NamedGroup(11, "M11", cls))):
@@ -682,7 +629,7 @@ def test_named_descriptor_closes_class_one_once(tmp_path, monkeypatch, capsys):
     assert answers == [True, True, True, None, None, None] * 2
     assert codes == [0, 2, 0, 2]
     assert "[11] in named:M11:2: yes" in capsys.readouterr().out
-    assert closed == [(11, [Perm.from_cycles(11, cycles).images for cycles in record["generators"]])]
+    assert closed == [(11, [g.images for g in record["generators"]])]
 
 
 def _answers(name, n):
@@ -698,12 +645,11 @@ def _answers(name, n):
     return out
 
 
-def test_named_resolvers_answer_the_same_from_threads(tmp_path, monkeypatch):
+def test_named_resolvers_answer_the_same_from_threads():
     # the caches hold no lock: concurrent first calls may each close a group, never disagree
     groups = (("M11", 11), ("PGammaL2(8)", 9))
     want = [_answers(name, n) for name, n in groups]
-    shutil.copytree(data_dir(), tmp_path / "data")
-    monkeypatch.setenv("NCK_DATA_DIR", str(tmp_path / "data"))
+    _named.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -845,7 +791,7 @@ def test_catalog_duplicate_rejected():
 def test_builtin_catalog_files_equal_the_computed_catalogs():
     # the benchmark's oracle reads these files, so each must be its computed catalog, serialized
     groups = [GroupId.sym(n) for n in range(3, 13)] + [GroupId.alt(n) for n in range(4, 13)]
-    folder = Path(_PACKAGE_DATA, "catalogs")
+    folder = DATA / "catalogs"
     assert sorted(f.name for f in folder.iterdir()) == sorted(f"{g.name}.json" for g in groups)
     texts = [json.dumps(catalog_to_json(load_catalog(g)), indent=1) + "\n" for g in groups]
     for g, text in zip(groups, texts):

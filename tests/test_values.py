@@ -182,10 +182,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_import_leaves_json_unloaded():
-    # json loads only where a file is read or JSON is written, so text commands skip it
+    # json loads only where a file is read or JSON is written, so text commands skip it,
+    # those on the Mathieu groups included
     src = str(Path(normcov.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, normcov.cli; print('json' in sys.modules)"
+    code = """import sys, normcov.cli
+assert 'json' not in sys.modules
+for argv in (["membership", "12", "named:M12", "[11,1]"], ["membership", "11", "named:M11:2", "[11]"],
+             ["verify", "--family", "special_a11"]):
+    assert normcov.cli.main(argv) == 0, argv
+print('json' in sys.modules)"""
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
